@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -569,38 +570,76 @@ void BM_FleetRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetRoute)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
-// JobQueue steady-state churn at a standing depth: one push + one indexed
-// peek + one pop per iteration over the arena-backed SoA storage. The queue
-// holds ~256 jobs, so insertions walk the key column and pops shift the
-// order vector — the realistic mid-burst shape, not an empty-queue ping.
+// JobQueue steady-state churn at a standing depth (16 / 1k / 4k): one push
+// + one ready probe + one indexed peek + one pop per iteration, the pop
+// landing within the scheduler's 8-wide pairing window of the head. Pops
+// retire entries at a head offset, so the per-op cost should stay flat
+// across depths. Priorities are uniform so insertion is the O(1) append and
+// the row isolates the pop path.
 void BM_JobQueueChurn(benchmark::State& state) {
   const auto& env = report::Environment::get();
+  const auto depth = static_cast<std::size_t>(state.range(0));
   sched::Job job;
   job.id = 0;
   job.app = "sgemm";
   job.kernel = &env.kernel("sgemm");
   job.work_units = 100.0;
   sched::JobQueue queue;
-  constexpr std::size_t kDepth = 256;
-  for (std::size_t i = 0; i < kDepth; ++i) {
+  for (std::size_t i = 0; i < depth; ++i) {
     job.id = static_cast<int>(i);
-    job.priority = static_cast<int>(i % 3);
     job.submit_time = static_cast<double>(i);
     queue.push(job);
   }
-  double now = static_cast<double>(kDepth);
+  double now = static_cast<double>(depth);
   for (auto _ : state) {
     job.id += 1;
-    job.priority = job.id % 3;
     job.submit_time = now;
     queue.push(job);
     benchmark::DoNotOptimize(queue.ready_count(now));
     benchmark::DoNotOptimize(queue.peek(queue.size() / 2).id);
-    benchmark::DoNotOptimize(queue.pop_front().id);
+    benchmark::DoNotOptimize(queue.pop_at(static_cast<std::size_t>(job.id) % 8).id);
     now += 1.0;
   }
 }
-BENCHMARK(BM_JobQueueChurn);
+BENCHMARK(BM_JobQueueChurn)->Arg(16)->Arg(1024)->Arg(4096);
+
+// Problem 2 under a moving budget ceiling, the two ways a DecisionCache
+// miss can be answered: a fresh exhaustive search under the ceiling, or a
+// lookup into the pair's memoized cap curve (Optimizer::decide_all_ceilings,
+// built once per pair) at the ceiling's level. The ceilings cycle through
+// on-grid, between-grid and unbounded values.
+constexpr double kProblem2Ceilings[] = {211.0, 189.5, 250.0, 1.0e9, 170.0, 231.7};
+
+void BM_Problem2Search(benchmark::State& state) {
+  const auto& env = report::Environment::get();
+  const core::Optimizer optimizer =
+      core::Optimizer::paper_default(env.artifacts.model);
+  const core::Policy policy = core::Policy::problem2(0.2);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double ceiling = kProblem2Ceilings[i++ % std::size(kProblem2Ceilings)];
+    const auto d = optimizer.decide(env.profile("srad"), env.profile("needle"),
+                                    policy.with_ceiling(ceiling));
+    benchmark::DoNotOptimize(d.objective_value);
+  }
+}
+BENCHMARK(BM_Problem2Search);
+
+void BM_Problem2CurveLookup(benchmark::State& state) {
+  const auto& env = report::Environment::get();
+  const core::Optimizer optimizer =
+      core::Optimizer::paper_default(env.artifacts.model);
+  const std::vector<core::Decision> curve = optimizer.decide_all_ceilings(
+      env.profile("srad"), env.profile("needle"), core::Policy::problem2(0.2));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double ceiling = kProblem2Ceilings[i++ % std::size(kProblem2Ceilings)];
+    const core::Decision d =
+        curve[static_cast<std::size_t>(optimizer.ceiling_level(ceiling))];
+    benchmark::DoNotOptimize(d.objective_value);
+  }
+}
+BENCHMARK(BM_Problem2CurveLookup);
 
 void BM_OfflineTrainingFullGrid(benchmark::State& state) {
   const auto& env = report::Environment::get();

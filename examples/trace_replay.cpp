@@ -94,6 +94,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -630,6 +631,14 @@ int main(int argc, char** argv) {
     out = static_cast<Out>(*value);
     return true;
   };
+  // Real-valued flags: std::from_chars accepts "nan" and "inf", and a NaN
+  // slips past every `value < bound` check, so non-finite text is rejected
+  // here as unparsable.
+  const auto parse_finite = [](const std::string& text) -> std::optional<double> {
+    const auto value = migopt::str::parse_double(text);
+    if (!value.has_value() || !std::isfinite(*value)) return std::nullopt;
+    return value;
+  };
   const auto& positionals = options->positionals;
   if (positionals.size() > 0 &&
       !parse_int(positionals[0], "num_jobs", 1.0, config.num_jobs))
@@ -691,7 +700,7 @@ int main(int argc, char** argv) {
     config.router = *policy;
   }
   if (!spill_flag.empty()) {
-    const auto value = migopt::str::parse_double(spill_flag);
+    const auto value = parse_finite(spill_flag);
     if (!value.has_value() || *value < 0.0) {
       std::fprintf(stderr, "error: --spill-delay must be >= 0, got '%s'\n",
                    spill_flag.c_str());
@@ -710,7 +719,7 @@ int main(int argc, char** argv) {
     config.power_split = *split;
   }
   if (!fleet_budget_flag.empty()) {
-    const auto value = migopt::str::parse_double(fleet_budget_flag);
+    const auto value = parse_finite(fleet_budget_flag);
     if (!value.has_value() || *value <= 0.0) {
       std::fprintf(stderr, "error: --fleet-budget must be > 0 W, got '%s'\n",
                    fleet_budget_flag.c_str());
@@ -722,7 +731,7 @@ int main(int argc, char** argv) {
   // Fault-injection flags. Out-of-range values name the flag, the accepted
   // range, and the rejected text — and exit nonzero before any replay runs.
   if (!fault_rate_flag.empty()) {
-    const auto value = migopt::str::parse_double(fault_rate_flag);
+    const auto value = parse_finite(fault_rate_flag);
     if (!value.has_value() || *value < 0.0 || *value >= 1.0) {
       std::fprintf(stderr,
                    "error: --fault-rate must be a probability in [0, 1), got "
@@ -733,7 +742,7 @@ int main(int argc, char** argv) {
     config.fault_rate = *value;
   }
   if (!node_mtbf_flag.empty()) {
-    const auto value = migopt::str::parse_double(node_mtbf_flag);
+    const auto value = parse_finite(node_mtbf_flag);
     if (!value.has_value() || *value <= 0.0) {
       std::fprintf(stderr,
                    "error: --node-mtbf must be > 0 seconds, got '%s'\n",
@@ -746,7 +755,7 @@ int main(int argc, char** argv) {
       !parse_int(max_retries_flag, "--max-retries", 0.0, config.max_retries))
     return 1;
   if (!power_emergency_flag.empty()) {
-    const auto value = migopt::str::parse_double(power_emergency_flag);
+    const auto value = parse_finite(power_emergency_flag);
     if (!value.has_value() || *value <= 0.0) {
       std::fprintf(stderr,
                    "error: --power-emergency must be > 0 W, got '%s'\n",
@@ -760,7 +769,7 @@ int main(int argc, char** argv) {
   config.metrics_path = metrics_flag;
   config.chrome_trace_path = chrome_trace_flag;
   if (!sample_interval_flag.empty()) {
-    const auto value = migopt::str::parse_double(sample_interval_flag);
+    const auto value = parse_finite(sample_interval_flag);
     if (!value.has_value() || *value < 0.0) {
       std::fprintf(stderr, "error: --sample-interval must be >= 0, got '%s'\n",
                    sample_interval_flag.c_str());

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "common/small_vector.hpp"
 
 namespace migopt::core {
 
@@ -24,6 +25,9 @@ Optimizer::Optimizer(const PerfModel& model, std::vector<PartitionState> states,
   std::sort(caps_sorted_.begin(), caps_sorted_.end(),
             [this](std::size_t a, std::size_t b) { return caps_[a] < caps_[b]; });
   min_cap_value_ = caps_[caps_sorted_.front()];
+  for (const std::size_t c : caps_sorted_)
+    if (ceiling_levels_.empty() || ceiling_levels_.back() != caps_[c])
+      ceiling_levels_.push_back(caps_[c]);
 
   grid_.resize(states_.size() * caps_.size());
   for (std::size_t s = 0; s < states_.size(); ++s)
@@ -111,20 +115,14 @@ bool Optimizer::better(const Scored& a, const Scored& b) noexcept {
   return a.score > b.score;
 }
 
-Decision Optimizer::decide(const prof::CounterSet& profile1,
-                           const prof::CounterSet& profile2,
-                           const Policy& policy) const {
-  check_model_unchanged();
+/// The selection rule every pair search shares: keep the first candidate,
+/// then any strictly better one, in the search's iteration order.
+struct Optimizer::Pick {
   Decision decision;
-  const CapSelection sel = select_caps(policy);
-  if (sel.none) return decision;  // ceiling below every trained cap
-
-  const PreparedPair prepared = prepare_pair(profile1, profile2);
-  bool first = true;
   Scored best;
-  const auto consider = [&](const PartitionState& state, KeyPair keys,
-                            double cap) {
-    const Scored candidate = score_prepared(prepared, state, keys, cap, policy);
+  bool first = true;
+
+  void offer(const Scored& candidate, const PartitionState& state, double cap) {
     ++decision.evaluations;
     if (first || better(candidate, best)) {
       first = false;
@@ -132,28 +130,81 @@ Decision Optimizer::decide(const prof::CounterSet& profile1,
       decision.state = state;
       decision.power_cap_watts = cap;
     }
-  };
+  }
 
+  Decision finish() {
+    decision.feasible = best.feasible;
+    decision.predicted = best.metrics;
+    decision.objective_value = best.feasible ? best.score : 0.0;
+    return decision;
+  }
+};
+
+template <typename ScoreAt>
+Decision Optimizer::select_under(double ceiling, ScoreAt&& score_at) const {
+  Pick pick;
   const std::size_t cap_count = caps_.size();
+  for (std::size_t s = 0; s < states_.size(); ++s)
+    for (std::size_t c = 0; c < cap_count; ++c)
+      if (caps_[c] <= ceiling)
+        pick.offer(score_at(s, c), states_[s], caps_[c]);
+  return pick.finish();
+}
+
+Decision Optimizer::decide(const prof::CounterSet& profile1,
+                           const prof::CounterSet& profile2,
+                           const Policy& policy) const {
+  check_model_unchanged();
+  const CapSelection sel = select_caps(policy);
+  if (sel.none) return Decision{};  // ceiling below every trained cap
+
+  const PreparedPair prepared = prepare_pair(profile1, profile2);
+  const std::size_t cap_count = caps_.size();
+  if (!sel.single) {
+    // Batched sweep: every admissible cap of every state against the
+    // pre-interned coefficient rows.
+    return select_under(sel.ceiling, [&](std::size_t s, std::size_t c) {
+      return score_prepared(prepared, states_[s], grid_[s * cap_count + c],
+                            caps_[c], policy);
+    });
+  }
+  // Problem 1 (or a fixed cap degraded under a ceiling): one cap per state.
+  Pick pick;
   for (std::size_t s = 0; s < states_.size(); ++s) {
     const PartitionState& state = states_[s];
-    if (sel.single) {
-      const KeyPair keys = sel.index >= 0
-                               ? grid_[s * cap_count + static_cast<std::size_t>(sel.index)]
-                               : keys_for(state, sel.watts);
-      consider(state, keys, sel.value);
-    } else {
-      // Batched sweep: every admissible cap of this state against the
-      // pre-interned coefficient rows.
-      const KeyPair* row = grid_.data() + s * cap_count;
-      for (std::size_t c = 0; c < cap_count; ++c)
-        if (caps_[c] <= sel.ceiling) consider(state, row[c], caps_[c]);
-    }
+    const KeyPair keys =
+        sel.index >= 0 ? grid_[s * cap_count + static_cast<std::size_t>(sel.index)]
+                       : keys_for(state, sel.watts);
+    pick.offer(score_prepared(prepared, state, keys, sel.value, policy), state,
+               sel.value);
   }
-  decision.feasible = best.feasible;
-  decision.predicted = best.metrics;
-  decision.objective_value = best.feasible ? best.score : 0.0;
-  return decision;
+  return pick.finish();
+}
+
+std::vector<Decision> Optimizer::decide_all_ceilings(
+    const prof::CounterSet& profile1, const prof::CounterSet& profile2,
+    const Policy& policy) const {
+  MIGOPT_REQUIRE(!policy.fixed_power_cap.has_value(),
+                 "decide_all_ceilings needs a free-cap policy (Problem 2)");
+  check_model_unchanged();
+  // Score the whole grid once; every ceiling level then re-runs only the
+  // selection over the candidates it admits, in decide()'s order.
+  const PreparedPair prepared = prepare_pair(profile1, profile2);
+  const std::size_t cap_count = caps_.size();
+  SmallVector<Scored, 32> scored;
+  scored.reserve(grid_.size());
+  for (std::size_t s = 0; s < states_.size(); ++s)
+    for (std::size_t c = 0; c < cap_count; ++c)
+      scored.push_back(score_prepared(prepared, states_[s],
+                                      grid_[s * cap_count + c], caps_[c], policy));
+
+  std::vector<Decision> curve;
+  curve.reserve(ceiling_levels_.size());
+  for (const double level : ceiling_levels_)
+    curve.push_back(select_under(level, [&](std::size_t s, std::size_t c) {
+      return scored[s * cap_count + c];
+    }));
+  return curve;
 }
 
 GroupDecision Optimizer::decide_group(std::span<const prof::CounterSet> profiles,

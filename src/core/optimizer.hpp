@@ -15,6 +15,8 @@
 // decisions throw instead of silently using stale coefficients.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,6 +71,31 @@ class Optimizer {
   Decision decide(const prof::CounterSet& profile1, const prof::CounterSet& profile2,
                   const Policy& policy) const;
 
+  /// Problem 2 under every cap ceiling at once: the pair's throughput-vs-cap
+  /// curve. Scores the (state × cap) grid once, then runs decide()'s
+  /// selection per ceiling level, so entry k is bit-equal to decide() under
+  /// any ceiling in [ceiling_levels()[k], ceiling_levels()[k+1]) — including
+  /// `evaluations`. `policy` must leave the cap free; its own
+  /// power_cap_ceiling is ignored. Unlike decide(), this scores caps above
+  /// any ceiling, so every grid cap must have trained coefficients.
+  std::vector<Decision> decide_all_ceilings(const prof::CounterSet& profile1,
+                                            const prof::CounterSet& profile2,
+                                            const Policy& policy) const;
+
+  /// The distinct grid caps in ascending order: the ceiling levels at which
+  /// a free-cap decision can change.
+  const std::vector<double>& ceiling_levels() const noexcept {
+    return ceiling_levels_;
+  }
+  /// Index into ceiling_levels() of the largest level <= `ceiling` (a
+  /// decide_all_ceilings entry), or -1 when `ceiling` is below every cap.
+  /// `ceiling` must not be NaN. Inline: the scheduler asks on every probe.
+  std::ptrdiff_t ceiling_level(double ceiling) const noexcept {
+    const auto it =
+        std::upper_bound(ceiling_levels_.begin(), ceiling_levels_.end(), ceiling);
+    return (it - ceiling_levels_.begin()) - 1;
+  }
+
   /// Random-restart hill climbing for large state spaces. Moves along the
   /// partition-split / option / cap axes; quality is validated against the
   /// exhaustive oracle in the test suite. Deterministic for a fixed seed.
@@ -111,6 +138,12 @@ class Optimizer {
   };
   CapSelection select_caps(const Policy& policy) const;
 
+  struct Pick;
+  /// decide()'s selection over the grid candidates with cap <= `ceiling`, in
+  /// state-major, cap-index order; score_at(s, c) yields each Scored.
+  template <typename ScoreAt>
+  Decision select_under(double ceiling, ScoreAt&& score_at) const;
+
   Scored score_prepared(const PreparedPair& prepared, const PartitionState& state,
                         KeyPair keys, double cap, const Policy& policy) const;
   static bool better(const Scored& a, const Scored& b) noexcept;
@@ -130,6 +163,7 @@ class Optimizer {
   std::vector<KeyPair> grid_;
   std::vector<int> cap_watts_;
   std::vector<std::size_t> caps_sorted_;
+  std::vector<double> ceiling_levels_;
   double min_cap_value_ = 0.0;
   std::uint64_t model_revision_ = 0;
 };

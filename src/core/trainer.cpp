@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/assert.hpp"
 #include "common/linalg.hpp"
@@ -138,7 +137,6 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
     double residual;
   };
   std::map<ModelKey, std::vector<CorunSample>> samples_by_key;
-  std::mutex samples_mutex;
 
   struct CorunTask {
     const wl::CorunPair* pair;
@@ -150,6 +148,18 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
     for (const auto& state : config.corun_states)
       for (const double cap : config.power_caps)
         corun_tasks.push_back({&pair, state, cap});
+
+  // Each task writes its two samples into its own slot; they are folded into
+  // samples_by_key in task-index order below, so every ridge design matrix
+  // has the same row order (and the same coefficients, to the last bit)
+  // however the pool schedules the tasks.
+  struct CorunResult {
+    ModelKey key1;
+    ModelKey key2;
+    CorunSample sample1;
+    CorunSample sample2;
+  };
+  std::vector<CorunResult> corun_results(corun_tasks.size());
 
   run_indexed(config.parallel, corun_tasks.size(), [&](std::size_t task_index) {
     const CorunTask& task = corun_tasks[task_index];
@@ -170,14 +180,15 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
     const auto& prof1 = artifacts.profiles.at(resolved.app1->kernel.name);
     const auto& prof2 = artifacts.profiles.at(resolved.app2->kernel.name);
 
-    CorunSample sample1{basis_j(prof2),
-                        rel1 - artifacts.model.predict_solo(key1, prof1)};
-    CorunSample sample2{basis_j(prof1),
-                        rel2 - artifacts.model.predict_solo(key2, prof2)};
-    std::lock_guard<std::mutex> lock(samples_mutex);
-    samples_by_key[key1].push_back(sample1);
-    samples_by_key[key2].push_back(sample2);
+    corun_results[task_index] = {
+        key1, key2,
+        CorunSample{basis_j(prof2), rel1 - artifacts.model.predict_solo(key1, prof1)},
+        CorunSample{basis_j(prof1), rel2 - artifacts.model.predict_solo(key2, prof2)}};
   });
+  for (const CorunResult& result : corun_results) {
+    samples_by_key[result.key1].push_back(result.sample1);
+    samples_by_key[result.key2].push_back(result.sample2);
+  }
   artifacts.report.corun_runs = corun_tasks.size();
 
   double corun_sq_sum = 0.0;

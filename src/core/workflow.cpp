@@ -46,15 +46,22 @@ Decision ResourcePowerAllocator::allocate(const std::string& app1,
   return allocate_profiles(profiles_.at(app1), profiles_.at(app2), policy);
 }
 
+const prof::CounterSet& ResourcePowerAllocator::profile_by_id(Symbol app) const {
+  const prof::CounterSet* profile = profiles_.find_by_id(app);
+  MIGOPT_REQUIRE(profile != nullptr, "no profile for app id: " + std::to_string(app));
+  return *profile;
+}
+
 Decision ResourcePowerAllocator::allocate(Symbol app1, Symbol app2,
                                           const Policy& policy) const {
-  const prof::CounterSet* profile1 = profiles_.find_by_id(app1);
-  const prof::CounterSet* profile2 = profiles_.find_by_id(app2);
-  MIGOPT_REQUIRE(profile1 != nullptr,
-                 "no profile for app id: " + std::to_string(app1));
-  MIGOPT_REQUIRE(profile2 != nullptr,
-                 "no profile for app id: " + std::to_string(app2));
-  return allocate_profiles(*profile1, *profile2, policy);
+  const prof::CounterSet& profile1 = profile_by_id(app1);
+  return allocate_profiles(profile1, profile_by_id(app2), policy);
+}
+
+std::vector<Decision> ResourcePowerAllocator::allocate_all_ceilings(
+    Symbol app1, Symbol app2, const Policy& policy) const {
+  const prof::CounterSet& profile1 = profile_by_id(app1);
+  return optimizer_.decide_all_ceilings(profile1, profile_by_id(app2), policy);
 }
 
 Decision ResourcePowerAllocator::allocate_profiles(

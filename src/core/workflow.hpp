@@ -63,12 +63,21 @@ class ResourcePowerAllocator {
   /// profile lookups on the scheduler's decision path.
   Decision allocate(Symbol app1, Symbol app2, const Policy& policy) const;
 
+  /// Problem 2 for an interned pair under every cap ceiling at once (see
+  /// Optimizer::decide_all_ceilings): entry k answers any ceiling at or above
+  /// optimizer().ceiling_levels()[k] and below the next level.
+  std::vector<Decision> allocate_all_ceilings(Symbol app1, Symbol app2,
+                                              const Policy& policy) const;
+
   /// Same, with explicit profiles (apps not in the database).
   Decision allocate_profiles(const prof::CounterSet& profile1,
                              const prof::CounterSet& profile2,
                              const Policy& policy) const;
 
  private:
+  /// Profile of an interned app; throws naming the id when none is recorded.
+  const prof::CounterSet& profile_by_id(Symbol app) const;
+
   PerfModel model_;
   prof::ProfileDb profiles_;
   TrainingReport report_;

@@ -6,10 +6,12 @@
 //
 //  * the *system path*: mutate MIG state / power limit (via the NVML facade
 //    or directly) and launch kernels onto compute instances by id — this is
-//    what the job manager uses;
-//  * the *experiment path*: stateless `run_solo` / `run_pair` helpers that
-//    evaluate a hypothetical configuration without touching the persistent
-//    MIG state — this is what profiling, model training, and the benches use.
+//    what `nvmlsim` (and through it `mig_inspector`) drives;
+//  * the *experiment path*: stateless `run_solo` / `run_pair` /
+//    `run_full_chip` helpers that evaluate a hypothetical configuration
+//    without touching the persistent MIG state — this is what profiling,
+//    model training, the benches, and replay's cluster nodes use
+//    (`sched::Node`, whose pair solves `sched::RunMemo` memoizes).
 //
 // Relative performance follows the paper's normalization: solo run on the
 // full chip (no MIG, no cap beyond TDP).

@@ -10,10 +10,8 @@ namespace migopt::sched {
 CoScheduler::CoScheduler(core::ResourcePowerAllocator& allocator,
                          core::Policy policy, SchedulerTuning tuning)
     : allocator_(&allocator), policy_(policy), tuning_(tuning),
-      caps_sorted_(allocator.optimizer().caps()),
       decision_cache_(tuning.decision_cache_capacity),
       cached_profile_revision_(allocator.profiles().revision()) {
-  std::sort(caps_sorted_.begin(), caps_sorted_.end());
   MIGOPT_REQUIRE(tuning_.pairing_window >= 1, "pairing window must be >= 1");
   MIGOPT_REQUIRE(tuning_.min_pair_speedup >= 0.0,
                  "negative pairing speedup threshold");
@@ -48,13 +46,14 @@ double CoScheduler::default_cap(double max_cap_watts) const {
   if (policy_.fixed_power_cap.has_value() &&
       *policy_.fixed_power_cap <= max_cap_watts)
     return *policy_.fixed_power_cap;
-  MIGOPT_REQUIRE(!caps_sorted_.empty(),
+  const core::Optimizer& optimizer = allocator_->optimizer();
+  MIGOPT_REQUIRE(!optimizer.ceiling_levels().empty(),
                  "optimizer cap grid is empty — cannot pick a dispatch cap");
   // Largest trained cap <= the ceiling (identical to a max over the grid
   // filtered by the ceiling), -1 when nothing fits.
-  const auto it =
-      std::upper_bound(caps_sorted_.begin(), caps_sorted_.end(), max_cap_watts);
-  return it == caps_sorted_.begin() ? -1.0 : *(it - 1);
+  const std::ptrdiff_t level = optimizer.ceiling_level(max_cap_watts);
+  return level < 0 ? -1.0
+                   : optimizer.ceiling_levels()[static_cast<std::size_t>(level)];
 }
 
 double CoScheduler::min_cap() const {
@@ -62,17 +61,45 @@ double CoScheduler::min_cap() const {
   // silently starve dispatch forever; fail loudly instead. (The Optimizer
   // constructor rejects empty grids, so this guards future regressions of
   // that contract.)
-  MIGOPT_REQUIRE(!caps_sorted_.empty(),
+  const std::vector<double>& levels = allocator_->optimizer().ceiling_levels();
+  MIGOPT_REQUIRE(!levels.empty(),
                  "optimizer cap grid is empty — no dispatch can be afforded");
-  return caps_sorted_.front();
+  return levels.front();
 }
 
 void CoScheduler::sync_cache_with_profiles() {
-  const std::uint64_t revision = allocator_->profiles().revision();
-  if (revision != cached_profile_revision_) {
-    decision_cache_.invalidate();
-    cached_profile_revision_ = revision;
+  if (allocator_->profiles().revision() != cached_profile_revision_)
+    invalidate_decisions();
+}
+
+void CoScheduler::invalidate_decisions() {
+  decision_cache_.invalidate();
+  if (cap_curves_ > 0) {
+    for (std::vector<core::Decision>& curve : curves_) curve.clear();
+    cap_curves_ = 0;
   }
+  cached_profile_revision_ = allocator_->profiles().revision();
+}
+
+const core::Decision& CoScheduler::cap_curve_entry(AppId pivot, AppId candidate,
+                                                   std::size_t level) {
+  const std::size_t needed = std::size_t{std::max(pivot, candidate)} + 1;
+  if (needed > curve_stride_) {
+    // Re-lay the table out for the wider id space (new apps intern rarely).
+    const std::size_t stride = std::max(needed, 2 * curve_stride_);
+    std::vector<std::vector<core::Decision>> grown(stride * stride);
+    for (std::size_t a = 0; a < curve_stride_; ++a)
+      for (std::size_t b = 0; b < curve_stride_; ++b)
+        grown[a * stride + b] = std::move(curves_[a * curve_stride_ + b]);
+    curves_ = std::move(grown);
+    curve_stride_ = stride;
+  }
+  std::vector<core::Decision>& curve = curves_[pivot * curve_stride_ + candidate];
+  if (curve.empty()) {
+    curve = allocator_->allocate_all_ceilings(pivot, candidate, policy_);
+    ++cap_curves_;
+  }
+  return curve[level];
 }
 
 AppId CoScheduler::app_id_at(JobQueue& queue, std::size_t index) {
@@ -148,11 +175,16 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
     // Decisions are computed under the exact policy but cached under the
     // canonical ceiling, so budget headroom wobble still hits the cache.
     batch.cache_policy_ = policy_.with_ceiling(dispatch_cap);
+    batch.ceiling_level_ = static_cast<std::size_t>(
+        allocator_->optimizer().ceiling_level(max_cap_watts));
     batch.stamped_for_ = max_cap_watts;
     batch.has_stamp_ = true;
   }
   const core::Policy& policy = ceiled ? batch.policy_ : policy_;
   const core::Policy& cache_policy = ceiled ? batch.cache_policy_ : policy_;
+  // A ceiled free-cap miss reads the pair's cap curve instead of searching:
+  // the curve entry at the ceiling's level is bit-equal to the search.
+  const bool from_curve = ceiled && !policy_.fixed_power_cap.has_value();
   const std::size_t window = std::min(ready, *pivot + tuning_.pairing_window + 1);
   std::optional<std::size_t> best_index;
   core::Decision best_decision;
@@ -163,7 +195,9 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
     if (!allocator_->can_coschedule(candidate_app)) continue;
     const core::Decision& decision = decision_cache_.get_or_compute(
         pivot_app, candidate_app, cache_policy, [&] {
-          return allocator_->allocate(pivot_app, candidate_app, policy);
+          return from_curve ? cap_curve_entry(pivot_app, candidate_app,
+                                              batch.ceiling_level_)
+                            : allocator_->allocate(pivot_app, candidate_app, policy);
         });
     if (!pair_acceptable(queue.peek(*pivot), candidate, decision)) continue;
     if (!best_index.has_value() ||
@@ -192,15 +226,13 @@ void CoScheduler::record_profile(const std::string& app,
   allocator_->record_profile(app, counters);
   // A new/updated profile changes what the allocator may answer; drop every
   // memoized decision and resync with the store's revision.
-  decision_cache_.invalidate();
-  cached_profile_revision_ = allocator_->profiles().revision();
+  invalidate_decisions();
 }
 
 void CoScheduler::record_profile(AppId app, const prof::CounterSet& counters) {
   set_profiling_in_flight(app, false);
   allocator_->record_profile(allocator_->profiles().app_name(app), counters);
-  decision_cache_.invalidate();
-  cached_profile_revision_ = allocator_->profiles().revision();
+  invalidate_decisions();
 }
 
 void CoScheduler::abort_profile(const Job& job) {

@@ -82,6 +82,7 @@ class CoScheduler {
     bool has_stamp_ = false;
     core::Policy policy_;        ///< policy_.with_ceiling(headroom)
     core::Policy cache_policy_;  ///< policy_.with_ceiling(default_cap(headroom))
+    std::size_t ceiling_level_ = 0;  ///< cap-curve level of the headroom
   };
 
   /// Open a dispatch batch at `now`: reconciles the decision cache with the
@@ -145,6 +146,13 @@ class CoScheduler {
   /// how much search the cache saved across dispatches.
   const DecisionCache& decision_cache() const noexcept { return decision_cache_; }
 
+  /// Pair cap curves currently memoized. Under a budget ceiling with a
+  /// free-cap policy, a DecisionCache miss is answered from the (pivot,
+  /// candidate) curve — built once per pair by
+  /// ResourcePowerAllocator::allocate_all_ceilings — instead of a fresh
+  /// search. Curves are dropped whenever the decision cache is invalidated.
+  std::size_t cap_curves() const noexcept { return cap_curves_; }
+
  private:
   /// Cap for exclusive dispatches, honouring `max_cap_watts`; negative when
   /// nothing in the grid fits. Throws ContractViolation when the grid is
@@ -157,6 +165,11 @@ class CoScheduler {
   /// Drop cached decisions when the allocator's profile store changed under
   /// us (e.g. record_profile called on the allocator directly).
   void sync_cache_with_profiles();
+  /// Drop the decision cache and every cap curve; resync the revision.
+  void invalidate_decisions();
+  /// Entry `level` of the (pivot, candidate) cap curve, built on first use.
+  const core::Decision& cap_curve_entry(AppId pivot, AppId candidate,
+                                        std::size_t level);
 
   /// Interned app id of the job at queue position `index` (interning it on
   /// first sight, so jobs submitted without ids still take the fast path).
@@ -169,11 +182,6 @@ class CoScheduler {
   core::ResourcePowerAllocator* allocator_;
   core::Policy policy_;
   SchedulerTuning tuning_;
-  /// Ascending copy of the optimizer's cap grid, snapshotted at construction
-  /// (the grid is fixed for the Optimizer's lifetime). Lets min_cap and
-  /// default_cap answer from a front() load / one binary search instead of
-  /// re-scanning the grid through two indirections on every dispatch probe.
-  std::vector<double> caps_sorted_;
   /// Applications whose first (profiling) run has been dispatched but has not
   /// completed yet; further instances wait so only one profile run happens.
   /// Dense bitmap indexed by AppId — an O(1) load per window candidate where
@@ -181,6 +189,11 @@ class CoScheduler {
   std::vector<std::uint8_t> profiling_in_flight_;
   DecisionCache decision_cache_;
   std::uint64_t cached_profile_revision_ = 0;
+  /// Cap curves by app ids: curves_[pivot * curve_stride_ + candidate], empty
+  /// until built. Dense like the in-flight bitmap; grown when ids outgrow it.
+  std::vector<std::vector<core::Decision>> curves_;
+  std::size_t curve_stride_ = 0;
+  std::size_t cap_curves_ = 0;  ///< non-empty entries of curves_
 };
 
 }  // namespace migopt::sched

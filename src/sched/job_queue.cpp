@@ -1,5 +1,6 @@
 #include "sched/job_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -32,6 +33,7 @@ void JobQueue::reset_members() noexcept {
   free_.clear();
   order_.clear();
   keys_.clear();
+  head_ = 0;
   total_work_units_ = 0.0;
   ready_valid_ = false;
   ready_now_ = 0.0;
@@ -45,6 +47,7 @@ void JobQueue::swap(JobQueue& other) noexcept {
   std::swap(free_, other.free_);
   std::swap(order_, other.order_);
   std::swap(keys_, other.keys_);
+  std::swap(head_, other.head_);
   std::swap(total_work_units_, other.total_work_units_);
   std::swap(ready_valid_, other.ready_valid_);
   std::swap(ready_now_, other.ready_now_);
@@ -61,19 +64,21 @@ void JobQueue::push(Job job) {
   // Stable priority insertion: scan back over strictly lower priorities, so
   // equal-priority jobs keep push order (FIFO tie-break). The common case —
   // uniform priorities — appends in O(1). The scan reads the key column
-  // only; inserting shifts 12-byte keys and 4-byte ids, never Jobs.
+  // only, stops at the live head, and inserting shifts keys and 4-byte ids,
+  // never Jobs.
   const QueueKey key{job.submit_time, job.priority};
   const bool ready = job.submit_time <= ready_now_;
   total_work_units_ += job.work_units;
   const std::uint32_t id = acquire_slot(std::move(job));
-  std::size_t index = order_.size();
-  while (index > 0 && keys_[index - 1].priority < key.priority) --index;
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(index), id);
-  keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(index), key);
+  std::size_t at = order_.size();
+  while (at > head_ && keys_[at - 1].priority < key.priority) --at;
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), id);
+  keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(at), key);
   if (!ready_valid_) return;
   // Incremental prefix maintenance: an insertion inside the prefix either
   // extends it (ready job) or becomes the new gate (future job); an
   // insertion beyond the prefix cannot change it (the old gate still gates).
+  const std::size_t index = at - head_;
   if (ready) {
     if (index <= ready_count_) ++ready_count_;
   } else if (index < ready_count_) {
@@ -82,48 +87,63 @@ void JobQueue::push(Job job) {
 }
 
 const Job& JobQueue::front() const {
-  MIGOPT_REQUIRE(!order_.empty(), "front of empty queue");
-  return slot(order_.front());
+  MIGOPT_REQUIRE(!empty(), "front of empty queue");
+  return slot(order_[head_]);
 }
 
 const Job& JobQueue::peek(std::size_t index) const {
-  MIGOPT_REQUIRE(index < order_.size(), "peek beyond queue size");
-  return slot(order_[index]);
+  MIGOPT_REQUIRE(index < size(), "peek beyond queue size");
+  return slot(order_[head_ + index]);
 }
 
 Job& JobQueue::peek_mutable(std::size_t index) {
-  MIGOPT_REQUIRE(index < order_.size(), "peek beyond queue size");
-  return slot(order_[index]);
+  MIGOPT_REQUIRE(index < size(), "peek beyond queue size");
+  return slot(order_[head_ + index]);
 }
 
 Job JobQueue::pop_front() {
-  MIGOPT_REQUIRE(!order_.empty(), "pop from empty queue");
-  const std::uint32_t id = order_.front();
-  order_.erase(order_.begin());
-  keys_.erase(keys_.begin());
-  Job job = std::move(slot(id));
-  free_.push_back(id);
-  total_work_units_ -= job.work_units;
-  if (order_.empty()) total_work_units_ = 0.0;  // cancel residual FP drift
-  if (ready_valid_) {
-    if (ready_count_ > 0)
-      --ready_count_;
-    else
-      // The popped front was the gate; jobs behind it may now be ready.
-      ready_valid_ = false;
-  }
-  return job;
+  MIGOPT_REQUIRE(!empty(), "pop from empty queue");
+  return pop_at(0);
 }
 
 Job JobQueue::pop_at(std::size_t index) {
-  MIGOPT_REQUIRE(index < order_.size(), "pop_at beyond queue size");
-  const std::uint32_t id = order_[index];
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(index));
-  keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(index));
+  MIGOPT_REQUIRE(index < size(), "pop_at beyond queue size");
+  const std::size_t at = head_ + index;
+  const std::uint32_t id = order_[at];
+  if (index < size() - index) {
+    // Near the head (every scheduler pop: the pairing window is a few
+    // slots deep): slide the `index` entries in front of it up by one and
+    // retire the head slot.
+    std::move_backward(order_.begin() + static_cast<std::ptrdiff_t>(head_),
+                       order_.begin() + static_cast<std::ptrdiff_t>(at),
+                       order_.begin() + static_cast<std::ptrdiff_t>(at + 1));
+    std::move_backward(keys_.begin() + static_cast<std::ptrdiff_t>(head_),
+                       keys_.begin() + static_cast<std::ptrdiff_t>(at),
+                       keys_.begin() + static_cast<std::ptrdiff_t>(at + 1));
+    ++head_;
+  } else {
+    // Nearer the tail: close the gap from behind instead.
+    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(at));
+    keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(at));
+  }
   Job job = std::move(slot(id));
   free_.push_back(id);
   total_work_units_ -= job.work_units;
-  if (order_.empty()) total_work_units_ = 0.0;  // cancel residual FP drift
+  if (empty()) {
+    // Reset to the start of the storage; cancel residual FP drift.
+    order_.clear();
+    keys_.clear();
+    head_ = 0;
+    total_work_units_ = 0.0;
+  } else if (head_ >= kCompactMinHead && head_ >= size()) {
+    // The dead prefix outgrew the live entries: drop it in one pass. Each
+    // compaction moves at most as many entries as pops retired since the
+    // last one, so pops stay amortized O(window).
+    order_.erase(order_.begin(),
+                 order_.begin() + static_cast<std::ptrdiff_t>(head_));
+    keys_.erase(keys_.begin(), keys_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   if (ready_valid_) {
     if (index < ready_count_)
       --ready_count_;
@@ -135,8 +155,8 @@ Job JobQueue::pop_at(std::size_t index) {
 }
 
 void JobQueue::extend_ready_prefix() const noexcept {
-  while (ready_count_ < keys_.size() &&
-         keys_[ready_count_].submit_time <= ready_now_)
+  while (ready_count_ < size() &&
+         keys_[head_ + ready_count_].submit_time <= ready_now_)
     ++ready_count_;
 }
 

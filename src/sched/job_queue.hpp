@@ -15,6 +15,17 @@
 // of whole Jobs, and the scans stay in two cache-dense arrays — this is the
 // hot structure of million-job trace replay (see common/arena.hpp).
 //
+// Pops retire entries at a head offset instead of shifting the whole order
+// column: pop_front() advances head_, and pop_at(i) slides only the i
+// entries in front of position i up by one before advancing it (a pop in
+// the back half closes the gap from behind instead). The scheduler pops
+// within its pairing window of the head, so a pop costs O(window) at any
+// queue depth where a vector::erase used to shift every entry behind it.
+// The dead prefix [0, head_) is dropped in one pass once it is at least
+// kCompactMinHead entries and at least as long as the live part, and the
+// storage restarts at offset 0 whenever the queue empties. Every index in
+// the public API is logical (0 == front), independent of head_.
+//
 // ready_count() memoizes the ready prefix: the scheduler probes it several
 // times per dispatch round (once per idle node, plus once inside every
 // CoScheduler::next call) at the same clock, and the answer only changes
@@ -52,8 +63,8 @@ class JobQueue {
   /// after every queued job of equal or higher priority.
   void push(Job job);
 
-  bool empty() const noexcept { return order_.empty(); }
-  std::size_t size() const noexcept { return order_.size(); }
+  bool empty() const noexcept { return order_.size() == head_; }
+  std::size_t size() const noexcept { return order_.size() - head_; }
 
   const Job& front() const;
   /// Look at position `index` from the front (0 == front).
@@ -97,6 +108,8 @@ class JobQueue {
 
   /// Jobs per arena chunk. Slot id = chunk * kChunkJobs + offset.
   static constexpr std::size_t kChunkJobs = 256;
+  /// Smallest dead prefix worth compacting (see the header comment).
+  static constexpr std::size_t kCompactMinHead = 64;
 
   Job& slot(std::uint32_t id) noexcept {
     return chunks_[id / kChunkJobs][id % kChunkJobs];
@@ -118,6 +131,7 @@ class JobQueue {
   std::vector<std::uint32_t> free_;  ///< recycled slot ids
   std::vector<std::uint32_t> order_; ///< queue order -> slot id
   std::vector<QueueKey> keys_;       ///< parallel to order_
+  std::size_t head_ = 0;             ///< live entries start here
   double total_work_units_ = 0.0;
 
   // Cached ready prefix: valid means ready_count_ is the prefix length for

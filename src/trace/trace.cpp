@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -39,6 +40,18 @@ double number_of(const json::Value& object, const char* key) {
                      value->kind() == json::Value::Kind::Double,
                  std::string("trace: JSON '") + key + "' is not a number");
   return value->as_double();
+}
+
+/// A job priority read as a double: must be an integer inside int's range
+/// (a cast from outside it is undefined behaviour, not a wrap).
+int priority_of(double value, const char* source) {
+  MIGOPT_REQUIRE(value == std::floor(value),
+                 std::string(source) + " priority must be an integer");
+  MIGOPT_REQUIRE(value >= static_cast<double>(std::numeric_limits<int>::min()) &&
+                     value <= static_cast<double>(std::numeric_limits<int>::max()),
+                 std::string(source) + " priority out of int range: " +
+                     str::format_exact(value));
+  return static_cast<int>(value);
 }
 
 std::string string_of(const json::Value& object, const char* key) {
@@ -157,10 +170,8 @@ Trace Trace::from_csv(const CsvDocument& document) {
     event.tenant = document.cell(i, "tenant");
     event.app = document.cell(i, "app");
     event.work_seconds = parse_cell(document.cell(i, "work_s"), "work_s");
-    const double priority = parse_cell(document.cell(i, "priority"), "priority");
-    MIGOPT_REQUIRE(priority == std::floor(priority),
-                   "trace CSV priority must be an integer");
-    event.priority = static_cast<int>(priority);
+    event.priority = priority_of(
+        parse_cell(document.cell(i, "priority"), "priority"), "trace CSV");
     event.deadline_seconds =
         parse_cell(document.cell(i, "deadline_s"), "deadline_s");
     event.budget_watts = parse_cell(document.cell(i, "budget_w"), "budget_w");
@@ -224,10 +235,7 @@ Trace Trace::from_json(const json::Value& document) {
       event.tenant = string_of(entry, "tenant");
       event.app = string_of(entry, "app");
       event.work_seconds = number_of(entry, "work_s");
-      const double priority = number_of(entry, "priority");
-      MIGOPT_REQUIRE(priority == std::floor(priority),
-                     "trace JSON priority must be an integer");
-      event.priority = static_cast<int>(priority);
+      event.priority = priority_of(number_of(entry, "priority"), "trace JSON");
       event.deadline_seconds = number_of(entry, "deadline_s");
     } else {
       event.budget_watts = number_of(entry, "watts");

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -232,6 +235,99 @@ TEST(Optimizer, MutatingTheModelAfterConstructionIsRejected) {
   Rng rng(5);
   EXPECT_THROW(opt.decide_hill_climb(profile_of("sgemm"), profile_of("stream"),
                                      Policy::problem2(0.2), rng),
+               ContractViolation);
+}
+
+void expect_bit_equal(const Decision& a, const Decision& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_TRUE(a.state == b.state);
+  EXPECT_EQ(a.power_cap_watts, b.power_cap_watts);
+  EXPECT_EQ(a.objective_value, b.objective_value);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.predicted.relperf_app1, b.predicted.relperf_app1);
+  EXPECT_EQ(a.predicted.relperf_app2, b.predicted.relperf_app2);
+  EXPECT_EQ(a.predicted.throughput, b.predicted.throughput);
+  EXPECT_EQ(a.predicted.fairness, b.predicted.fairness);
+  EXPECT_EQ(a.predicted.power_cap_watts, b.predicted.power_cap_watts);
+  EXPECT_EQ(a.predicted.energy_efficiency, b.predicted.energy_efficiency);
+}
+
+/// Every ceiling shape a budget can produce: each grid cap, halfway between
+/// neighbours, below the smallest cap, and unbounded.
+std::vector<double> probe_ceilings(const Optimizer& opt) {
+  const std::vector<double>& levels = opt.ceiling_levels();
+  std::vector<double> out = {levels.front() - 1.0,
+                             std::numeric_limits<double>::infinity()};
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    out.push_back(levels[k]);
+    if (k + 1 < levels.size()) out.push_back(0.5 * (levels[k] + levels[k + 1]));
+  }
+  return out;
+}
+
+TEST(OptimizerCurve, LevelsAreTheDistinctCapsAscending) {
+  const Optimizer opt(shared_artifacts().model, paper_states(),
+                      {250.0, 150.0, 250.0, 210.0});
+  EXPECT_EQ(opt.ceiling_levels(), (std::vector<double>{150.0, 210.0, 250.0}));
+  EXPECT_EQ(opt.ceiling_level(149.0), -1);
+  EXPECT_EQ(opt.ceiling_level(150.0), 0);
+  EXPECT_EQ(opt.ceiling_level(249.9), 1);
+  EXPECT_EQ(opt.ceiling_level(std::numeric_limits<double>::infinity()), 2);
+  // Duplicate caps still yield one curve entry per level, each equal to a
+  // fresh search (which scores the duplicate twice).
+  const Policy policy = Policy::problem2(0.2);
+  const auto curve =
+      opt.decide_all_ceilings(profile_of("sgemm"), profile_of("stream"), policy);
+  ASSERT_EQ(curve.size(), 3u);
+  for (std::size_t k = 0; k < curve.size(); ++k)
+    expect_bit_equal(curve[k], opt.decide(profile_of("sgemm"), profile_of("stream"),
+                                          policy.with_ceiling(opt.ceiling_levels()[k])));
+}
+
+TEST(OptimizerCurve, EveryCeilingMatchesAFreshSearchForEveryRegistryPair) {
+  // The cap curve must answer every ceiling exactly as a fresh decide()
+  // would — state, cap, predicted metrics, objective, feasibility and the
+  // evaluation count — for both objectives under a fairness margin.
+  const Optimizer opt = make_optimizer();
+  const std::vector<double> ceilings = probe_ceilings(opt);
+  const auto& specs = test::shared_registry().all();
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (const auto objective :
+       {PolicyObjective::Throughput, PolicyObjective::EnergyEfficiency}) {
+    Policy policy = Policy::problem2(0.2);
+    policy.objective = objective;
+    policy.fairness_margin = 0.05;
+    for (const auto& first : specs) {
+      for (const auto& second : specs) {
+        const auto& p1 = profile_of(first.kernel.name);
+        const auto& p2 = profile_of(second.kernel.name);
+        const std::vector<Decision> curve = opt.decide_all_ceilings(p1, p2, policy);
+        ASSERT_EQ(curve.size(), opt.ceiling_levels().size());
+        for (const double ceiling : ceilings) {
+          SCOPED_TRACE(first.kernel.name + "+" + second.kernel.name + " @ " +
+                       std::to_string(ceiling));
+          const Decision fresh = opt.decide(p1, p2, policy.with_ceiling(ceiling));
+          const std::ptrdiff_t level = opt.ceiling_level(ceiling);
+          if (level < 0) {
+            EXPECT_EQ(fresh.evaluations, 0u);  // nothing admissible
+            continue;
+          }
+          expect_bit_equal(curve[static_cast<std::size_t>(level)], fresh);
+          (fresh.feasible ? feasible : infeasible) += 1;
+        }
+      }
+    }
+  }
+  // Both branches of the lexicographic selection were exercised.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST(OptimizerCurve, FixedCapPolicyRejected) {
+  const Optimizer opt = make_optimizer();
+  EXPECT_THROW(opt.decide_all_ceilings(profile_of("sgemm"), profile_of("stream"),
+                                       Policy::problem1(230.0, 0.2)),
                ContractViolation);
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/features.hpp"
 #include "test_util.hpp"
 
@@ -99,6 +101,52 @@ TEST(Trainer, SequentialMatchesParallel) {
       EXPECT_NEAR(sequential.model.scalability(key)[i],
                   parallel.model.scalability(key)[i], 1e-10)
           << key.to_string();
+  }
+}
+
+TEST(Trainer, ParallelIsBitIdenticalToSequentialOnABusyMachine) {
+  // Co-run samples are folded in task-index order, so the ridge row order —
+  // and every coefficient, to the last bit — must not depend on how the
+  // pool schedules tasks. A second pool spins on every hardware thread so
+  // the trainer's workers are preempted and finish out of order.
+  TrainingConfig config;  // the full paper grid: enough tasks to interleave
+  config.parallel = false;
+  const auto sequential = train_offline(shared_chip(), shared_registry(),
+                                        shared_pairs(), config);
+
+  std::atomic<bool> stop{false};
+  ThreadPool load;
+  for (std::size_t i = 0; i < load.thread_count(); ++i)
+    load.submit([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  config.parallel = true;
+  std::vector<TrainedArtifacts> parallel;
+  for (int repeat = 0; repeat < 4; ++repeat)
+    parallel.push_back(train_offline(shared_chip(), shared_registry(),
+                                     shared_pairs(), config));
+  stop = true;
+
+  for (const TrainedArtifacts& run : parallel) {
+    ASSERT_EQ(run.model.scalability_keys(), sequential.model.scalability_keys());
+    ASSERT_EQ(run.model.interference_entries(),
+              sequential.model.interference_entries());
+    for (const auto& key : sequential.model.scalability_keys()) {
+      for (std::size_t i = 0; i < kHBasisCount; ++i)
+        EXPECT_EQ(run.model.scalability(key)[i], sequential.model.scalability(key)[i])
+            << key.to_string();
+      // Interference keys are a subset of the solo grid.
+      ASSERT_EQ(run.model.has_interference(key),
+                sequential.model.has_interference(key));
+      if (!sequential.model.has_interference(key)) continue;
+      for (std::size_t i = 0; i < kJBasisCount; ++i)
+        EXPECT_EQ(run.model.interference(key)[i],
+                  sequential.model.interference(key)[i])
+            << key.to_string();
+    }
+    EXPECT_EQ(run.report.solo_fit_rmse, sequential.report.solo_fit_rmse);
+    EXPECT_EQ(run.report.corun_fit_rmse, sequential.report.corun_fit_rmse);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/assert.hpp"
 
 namespace migopt::gpusim {
@@ -51,6 +53,11 @@ struct BadConfigCase {
   const char* name;
   void (*mutate)(ArchConfig&);
 };
+
+// Without this gtest prints the case as raw bytes, i.e. the ASLR-dependent
+// addresses of `name` and `mutate`, and those bytes end up in the ctest names
+// that gtest_discover_tests records, so every build would name the cases anew.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
 
 class ArchConfigValidation : public ::testing::TestWithParam<BadConfigCase> {};
 

@@ -4,7 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <list>
+#include <string>
+#include <vector>
 #include <unordered_map>
 #include <utility>
 
@@ -41,6 +44,7 @@ void expect_identical(const core::Decision& a, const core::Decision& b) {
   EXPECT_EQ(a.predicted.relperf_app2, b.predicted.relperf_app2);
   EXPECT_EQ(a.predicted.throughput, b.predicted.throughput);
   EXPECT_EQ(a.predicted.fairness, b.predicted.fairness);
+  EXPECT_EQ(a.predicted.power_cap_watts, b.predicted.power_cap_watts);
   EXPECT_EQ(a.predicted.energy_efficiency, b.predicted.energy_efficiency);
 }
 
@@ -360,6 +364,113 @@ TEST(CoSchedulerCache, DirectAllocatorMutationIsDetectedByRevision) {
   queue.push(make_job(3, "stream"));
   ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
   EXPECT_GT(scheduler.decision_cache().stats().invalidations, 0u);
+}
+
+TEST(CoSchedulerCapCurves, MemoPathMatchesAFreshSearchForEveryRegistryPair) {
+  // Under a budget ceiling a free-cap DecisionCache miss reads the pair's
+  // cap curve instead of searching. Every (pivot, partner) pair of the
+  // registry, both objectives, a fairness margin, and ceilings on, between,
+  // below and above the grid: the dispatched decision must be bit-equal to
+  // a fresh search under the exact ceiling (an infeasible one must leave
+  // the pivot exclusive).
+  auto allocator = make_allocator();
+  const std::vector<double>& levels = allocator.optimizer().ceiling_levels();
+  std::vector<double> ceilings = {levels.front() - 1.0,
+                                  std::numeric_limits<double>::infinity()};
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    ceilings.push_back(levels[k]);
+    if (k + 1 < levels.size())
+      ceilings.push_back(0.5 * (levels[k] + levels[k + 1]));
+  }
+  SchedulerTuning tuning;
+  tuning.min_pair_speedup = 0.0;  // every feasible decision pairs
+  std::size_t paired = 0;
+  std::size_t exclusive = 0;
+  for (const auto objective : {core::PolicyObjective::Throughput,
+                               core::PolicyObjective::EnergyEfficiency}) {
+    core::Policy policy = core::Policy::problem2(0.2);
+    policy.objective = objective;
+    policy.fairness_margin = 0.05;
+    CoScheduler scheduler(allocator, policy, tuning);
+    JobQueue queue;
+    for (const auto& pivot : test::shared_registry().all()) {
+      for (const auto& partner : test::shared_registry().all()) {
+        const std::string& app1 = pivot.kernel.name;
+        const std::string& app2 = partner.kernel.name;
+        for (const double ceiling : ceilings) {
+          SCOPED_TRACE(app1 + "+" + app2 + " @ " + std::to_string(ceiling));
+          queue.clear();
+          queue.push(make_job(0, app1));
+          queue.push(make_job(1, app2));
+          const auto plan = scheduler.next(queue, 0.0, ceiling);
+          if (ceiling < levels.front()) {
+            EXPECT_FALSE(plan.has_value());  // budget below every cap
+            continue;
+          }
+          ASSERT_TRUE(plan.has_value());
+          const core::Decision fresh =
+              allocator.allocate(app1, app2, policy.with_ceiling(ceiling));
+          ASSERT_EQ(plan->job2.has_value(), fresh.feasible);
+          if (!fresh.feasible) {
+            ++exclusive;
+            continue;
+          }
+          ++paired;
+          expect_identical(plan->allocation, fresh);
+          EXPECT_EQ(plan->power_cap_watts, fresh.power_cap_watts);
+        }
+      }
+    }
+    EXPECT_GT(scheduler.cap_curves(), 0u);
+  }
+  EXPECT_GT(paired, 0u);
+  EXPECT_GT(exclusive, 0u);
+}
+
+TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
+  auto allocator = make_allocator();
+  SchedulerTuning tuning;
+  tuning.min_pair_speedup = 0.0;
+  const core::Policy policy = core::Policy::problem2(0.2);
+  CoScheduler scheduler(allocator, policy, tuning);
+  JobQueue queue;
+  const auto dispatch = [&](double ceiling) {
+    queue.clear();
+    queue.push(make_job(0, "igemm4"));
+    queue.push(make_job(1, "stream"));
+    return scheduler.next(queue, 0.0, ceiling);
+  };
+  const auto profile_of = [](const char* app) {
+    return prof::profile_run(test::shared_chip(),
+                             test::shared_registry().by_name(app).kernel);
+  };
+
+  ASSERT_TRUE(dispatch(251.0).has_value());
+  EXPECT_EQ(scheduler.cap_curves(), 1u);
+  // Unconstrained probes search directly and build no curve.
+  ASSERT_TRUE(dispatch(std::numeric_limits<double>::infinity()).has_value());
+  EXPECT_EQ(scheduler.cap_curves(), 1u);
+
+  scheduler.record_profile("fresh-app", profile_of("lud"));
+  EXPECT_EQ(scheduler.cap_curves(), 0u);
+
+  // Rebuild the curve, then re-profile a pair member behind the scheduler's
+  // back. A probe at another ceiling level misses the DecisionCache either
+  // way, so only a dropped curve makes it match a fresh search.
+  ASSERT_TRUE(dispatch(251.0).has_value());
+  EXPECT_EQ(scheduler.cap_curves(), 1u);
+  const core::Decision before =
+      allocator.allocate("igemm4", "stream", policy.with_ceiling(211.0));
+  allocator.record_profile("igemm4", profile_of("sgemm"));
+  const core::Decision after =
+      allocator.allocate("igemm4", "stream", policy.with_ceiling(211.0));
+  ASSERT_NE(before.predicted.relperf_app1, after.predicted.relperf_app1);
+  ASSERT_TRUE(after.feasible);
+  const auto plan = dispatch(211.0);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_TRUE(plan->job2.has_value());
+  expect_identical(plan->allocation, after);
+  EXPECT_EQ(scheduler.cap_curves(), 1u);  // dropped, then rebuilt once
 }
 
 // The flat-map DecisionCache threads its LRU chain through slot ids instead

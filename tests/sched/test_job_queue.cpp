@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -314,6 +317,135 @@ TEST(JobQueue, ClearRecyclesStorageAndReplaysIdentically) {
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.total_work_units(), 0.0);
   EXPECT_EQ(queue.ready_count(100.0), 0u);
+}
+
+// Deep-queue equivalence: pops retire entries at a head offset and the dead
+// prefix is compacted once it is >= 64 entries and at least as long as the
+// live part. Drive the queue past 4k entries with scheduler-shaped pops
+// (within 8 of the head), mixed priorities and a moving clock, against a
+// deque reference; then land the dead prefix exactly on the compaction
+// boundary, and move, swap and clear the queue while the head is offset.
+TEST(JobQueue, DeepQueueHeadOffsetMatchesReferenceUnderChurn) {
+  Rng rng(4099);
+  JobQueue queue;
+  std::deque<Job> reference;  // AoS mirror in queue order
+  const char* apps[] = {"sgemm", "stream", "kmeans", "needle"};
+  int next_id = 0;
+  double now = 0.0;
+
+  const auto push = [&](JobQueue& q, std::deque<Job>& ref, int priority,
+                        double submit) {
+    Job job = make_job(next_id, apps[next_id % 4], submit, priority);
+    job.work_units = 1.0 + static_cast<double>(next_id % 97);
+    job.app_id = static_cast<AppId>(next_id % 4);
+    ++next_id;
+    q.push(job);
+    auto it = ref.end();
+    while (it != ref.begin() && std::prev(it)->priority < job.priority) --it;
+    ref.insert(it, job);
+  };
+  const auto reference_ready = [](const std::deque<Job>& ref, double at) {
+    std::size_t count = 0;
+    while (count < ref.size() && ref[count].submit_time <= at) ++count;
+    return count;
+  };
+  const auto expect_same = [&](const JobQueue& q, const std::deque<Job>& ref,
+                               double at) {
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.ready_count(at), reference_ready(ref, at));
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ASSERT_EQ(q.peek(i).id, ref[i].id) << "position " << i;
+  };
+  const auto pop_near_head = [&](JobQueue& q, std::deque<Job>& ref) {
+    const std::size_t index = rng.next() % std::min<std::size_t>(9, ref.size());
+    expect_jobs_identical(q.pop_at(index), ref[index]);
+    ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(index));
+  };
+
+  // Fill past 4k: mostly ready jobs, a few future ones that gate the prefix.
+  for (int i = 0; i < 4200; ++i)
+    push(queue, reference, static_cast<int>(rng.next() % 3),
+         static_cast<double>(rng.next() % 50));
+  expect_same(queue, reference, now);
+
+  // Steady churn at depth >= 4096: every pop lands within the pairing
+  // window, so the head offset (and its compactions) carries all the load.
+  for (int step = 0; step < 30000; ++step) {
+    const std::uint64_t op = rng.next() % 16;
+    if (op < 7 || reference.size() < 4096) {
+      push(queue, reference, static_cast<int>(rng.next() % 3),
+           now + static_cast<double>(rng.next() % 5));
+    } else if (op < 13) {
+      pop_near_head(queue, reference);
+    } else if (op < 15) {
+      expect_jobs_identical(queue.pop_front(), reference.front());
+      reference.pop_front();
+    } else {
+      now += 1.0;
+    }
+    ASSERT_EQ(queue.ready_count(now), reference_ready(reference, now))
+        << "step " << step;
+    ASSERT_EQ(queue.size(), reference.size());
+    const std::size_t probe = rng.next() % reference.size();
+    ASSERT_EQ(queue.peek(probe).id, reference[probe].id) << "step " << step;
+  }
+  expect_same(queue, reference, now);
+
+  // Exact compaction boundary: from a freshly compacted 4096-deep queue
+  // (uniform priority), 2047 front pops leave a dead prefix one short of
+  // the live part; pop 2048 makes them equal and compacts.
+  JobQueue fresh;
+  std::deque<Job> fresh_ref;
+  for (int i = 0; i < 4096; ++i) push(fresh, fresh_ref, 0, 0.0);
+  for (int i = 0; i < 2047; ++i) {
+    expect_jobs_identical(fresh.pop_front(), fresh_ref.front());
+    fresh_ref.pop_front();
+  }
+  expect_same(fresh, fresh_ref, 0.0);
+  for (int i = 0; i < 2; ++i) {  // onto and past the boundary
+    pop_near_head(fresh, fresh_ref);
+    expect_same(fresh, fresh_ref, 0.0);
+  }
+  // A high-priority push after the boundary still lands at the front.
+  push(fresh, fresh_ref, 9, 0.0);
+  expect_same(fresh, fresh_ref, 0.0);
+  EXPECT_EQ(fresh.front().priority, 9);
+
+  // Leave an offset head (a few pops, no compaction), then move-assign,
+  // swap and clear with the offset in place.
+  for (int i = 0; i < 40; ++i) pop_near_head(queue, reference);
+  for (int i = 0; i < 30; ++i) pop_near_head(fresh, fresh_ref);
+  JobQueue moved;
+  moved = std::move(queue);
+  expect_same(moved, reference, now);
+  std::swap(moved, fresh);
+  std::swap(reference, fresh_ref);
+  expect_same(moved, reference, 0.0);
+  expect_same(fresh, fresh_ref, now);
+  for (int i = 0; i < 100; ++i) {
+    pop_near_head(moved, reference);
+    push(moved, reference, static_cast<int>(rng.next() % 3), 0.0);
+  }
+  expect_same(moved, reference, 0.0);
+
+  fresh.clear();
+  EXPECT_TRUE(fresh.empty());
+  EXPECT_EQ(fresh.ready_count(now), 0u);
+  fresh_ref.clear();
+  push(fresh, fresh_ref, 0, now + 1.0);  // a future job gates the prefix
+  push(fresh, fresh_ref, 0, 0.0);
+  expect_same(fresh, fresh_ref, now);
+  EXPECT_EQ(fresh.ready_count(now), 0u);
+  EXPECT_EQ(fresh.ready_count(now + 1.0), 2u);
+
+  // Draining to empty resets the storage; the queue keeps working after.
+  while (!moved.empty()) {
+    expect_jobs_identical(moved.pop_front(), reference.front());
+    reference.pop_front();
+  }
+  EXPECT_EQ(moved.total_work_units(), 0.0);
+  push(moved, reference, 1, 0.0);
+  expect_same(moved, reference, 0.0);
 }
 
 }  // namespace

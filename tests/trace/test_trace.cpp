@@ -114,6 +114,40 @@ TEST(Trace, CsvRejectsMissingColumnsAndBadCells) {
   EXPECT_THROW(Trace::from_csv(bad_priority), ContractViolation);
 }
 
+TEST(Trace, LoadersRejectPrioritiesOutsideIntRange) {
+  // A finite integer-valued priority beyond int must be a named contract
+  // violation, not an undefined double -> int conversion.
+  const auto expect_named_rejection = [](const auto& load, const char* source) {
+    try {
+      load();
+      ADD_FAILURE() << source << " accepted priority 1e30";
+    } catch (const ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string(source) +
+                                               " priority out of int range"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  CsvDocument csv({"kind", "time_s", "tenant", "app", "work_s", "priority",
+                   "deadline_s", "budget_w"});
+  csv.add_row({"arrival", "0.0", "t", "sgemm", "5.0", "1e30", "0.0", "0.0"});
+  expect_named_rejection([&] { Trace::from_csv(csv); }, "trace CSV");
+
+  Trace trace;
+  trace.events.push_back(TraceEvent::arrival(0.5, "t0", "sgemm", 12.25, 7, 0.0));
+  std::string text = trace.to_json().dump();
+  const std::size_t at = text.find("\"priority\":");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::size_t seven = text.find('7', at);
+  ASSERT_NE(seven, std::string::npos);
+  text.replace(seven, 1, "1e30");
+  expect_named_rejection([&] { Trace::from_json(json::parse(text)); },
+                         "trace JSON");
+  text.replace(text.find("1e30"), 4, "-3e9");
+  expect_named_rejection([&] { Trace::from_json(json::parse(text)); },
+                         "trace JSON");
+}
+
 TEST(Trace, MergeIsStableByTime) {
   Trace arrivals;
   arrivals.events.push_back(TraceEvent::arrival(1.0, "t0", "sgemm", 5.0));
