@@ -240,12 +240,12 @@ void BM_SchedulerCachedDispatch(benchmark::State& state) {
                                       core::Policy::problem1(230.0, 0.2));
   sched::Job job1;
   job1.id = 0;
-  job1.app = "igemm4";
+  job1.app_id = scheduler.intern_app("igemm4");
   job1.kernel = &env.kernel("igemm4");
   job1.work_units = 100.0;
   sched::Job job2 = job1;
   job2.id = 1;
-  job2.app = "stream";
+  job2.app_id = scheduler.intern_app("stream");
   job2.kernel = &env.kernel("stream");
   sched::JobQueue queue;
   for (auto _ : state) {
@@ -400,8 +400,8 @@ void BM_DispatchBatch(benchmark::State& state) {
     for (std::size_t i = 0; i < kBurst; ++i) {
       sched::Job job;
       job.id = static_cast<int>(i);
-      job.app = apps[i % 4];
-      job.kernel = &env.kernel(job.app);
+      job.app_id = scheduler.intern_app(apps[i % 4]);
+      job.kernel = &env.kernel(apps[i % 4]);
       job.work_units = 100.0;
       cluster.submit(job);
     }
@@ -461,17 +461,6 @@ void BM_TraceReplayExactCore(benchmark::State& state) {
   replay_nodes_benchmark(state, sched::EventCore::Exact);
 }
 BENCHMARK(BM_TraceReplayExactCore)
-    ->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-
-// Calendar (timer-wheel) core over the same sweep: bit-identical schedule to
-// Indexed, O(1) amortized insert/pop instead of O(log nodes) — the per-job
-// cost should track Indexed closely at 8 nodes and pull ahead as the
-// pending-completion set widens.
-void BM_TraceReplayCalendarCore(benchmark::State& state) {
-  replay_nodes_benchmark(state, sched::EventCore::Calendar);
-}
-BENCHMARK(BM_TraceReplayCalendarCore)
     ->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
@@ -581,7 +570,7 @@ void BM_JobQueueChurn(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   sched::Job job;
   job.id = 0;
-  job.app = "sgemm";
+  job.app_id = 0;  // the queue never resolves app ids
   job.kernel = &env.kernel("sgemm");
   job.work_units = 100.0;
   sched::JobQueue queue;

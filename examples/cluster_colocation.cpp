@@ -39,6 +39,7 @@ struct StreamConfig {
 
 std::vector<sched::Job> make_job_stream(const gpusim::GpuChip& chip,
                                         const wl::WorkloadRegistry& registry,
+                                        sched::CoScheduler& scheduler,
                                         int count, Rng& rng) {
   const auto names = registry.names();
   std::vector<sched::Job> jobs;
@@ -47,7 +48,7 @@ std::vector<sched::Job> make_job_stream(const gpusim::GpuChip& chip,
     const auto& name = names[rng.bounded(names.size())];
     sched::Job job;
     job.id = i;
-    job.app = name;
+    job.app_id = scheduler.intern_app(name);
     job.kernel = &registry.by_name(name).kernel;
     // The walltime estimate HPC users submit with: here, the exact per-unit
     // solo time. The co-scheduler uses it to refuse duration-mismatched
@@ -104,7 +105,8 @@ report::ScenarioResult run_modes(const StreamConfig& config,
 
     Rng rng(config.seed);  // identical job stream in every mode
     const auto report = cluster.run(
-        make_job_stream(reference_chip, registry, config.num_jobs, rng),
+        make_job_stream(reference_chip, registry, scheduler, config.num_jobs,
+                        rng),
         scheduler);
     section.add_row(
         mode.name,

@@ -30,10 +30,6 @@
 //                                      configuration (million-job traces in
 //                                      seconds; see README "Scaling the
 //                                      trace engine")
-//   --calendar-core                    same, through the Calendar (timer
-//                                      wheel) core — bit-identical schedule
-//                                      to --indexed-core, O(1) amortized
-//                                      completion bookkeeping
 //   --profile                          collect SimEngine's per-phase host
 //                                      time tallies and print them to stderr
 //                                      after the replay (where the wall
@@ -140,9 +136,6 @@ struct ReplayConfig {
   std::string trace_path;  ///< optional save/re-load round-trip
   /// Indexed event core + no per-job stats: the million-job configuration.
   bool indexed_core = false;
-  /// Calendar (timer-wheel) core instead of the Indexed heap (same lazy
-  /// semantics, bit-identical schedule); implies no per-job stats too.
-  bool calendar_core = false;
   /// Collect and print SimEngine's per-phase host-time tallies (--profile).
   bool profile_phases = false;
 
@@ -274,10 +267,8 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
   fleet.cluster_count = config.clusters;
   fleet.cluster.node_count = config.num_nodes;
   fleet.cluster.max_sim_seconds = 1.0e8;
-  if (config.indexed_core || config.calendar_core) {
-    fleet.cluster.event_core = config.calendar_core
-                                   ? sched::EventCore::Calendar
-                                   : sched::EventCore::Indexed;
+  if (config.indexed_core) {
+    fleet.cluster.event_core = sched::EventCore::Indexed;
     fleet.cluster.collect_job_stats = false;
   }
   fleet.router.policy = config.router;
@@ -330,9 +321,7 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
                   trace::router_policy_name(config.router) + " router, " +
                   trace::regime_name(config.regime) + ", seed " +
                   std::to_string(config.seed) +
-                  (config.calendar_core  ? ", calendar core"
-                   : config.indexed_core ? ", indexed core"
-                                         : "");
+                  (config.indexed_core ? ", indexed core" : "");
   section.label_header = "cluster";
   section.columns = {"routed", "completed", "mean wait [s]", "mean slowdown",
                      "energy [MJ]"};
@@ -419,10 +408,8 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = config.num_nodes;
   cluster_config.max_sim_seconds = 1.0e8;
-  if (config.indexed_core || config.calendar_core) {
-    cluster_config.event_core = config.calendar_core
-                                    ? sched::EventCore::Calendar
-                                    : sched::EventCore::Indexed;
+  if (config.indexed_core) {
+    cluster_config.event_core = sched::EventCore::Indexed;
     cluster_config.collect_job_stats = false;
   }
   sched::Cluster cluster(cluster_config);
@@ -467,9 +454,7 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
                   std::to_string(config.num_nodes) + " nodes, regime " +
                   trace::regime_name(config.regime) + ", seed " +
                   std::to_string(config.seed) +
-                  (config.calendar_core  ? ", calendar core"
-                   : config.indexed_core ? ", indexed core"
-                                         : "");
+                  (config.indexed_core ? ", indexed core" : "");
   section.label_header = "tenant";
   section.columns = {"submitted", "completed",      "work [s]",
                      "mean wait [s]", "mean slowdown", "deadline misses"};
@@ -558,7 +543,6 @@ int main(int argc, char** argv) {
   std::string chrome_trace_flag;
   std::string sample_interval_flag;
   bool indexed_core = false;
-  bool calendar_core = false;
   bool profile_phases = false;
   std::vector<char*> harness_argv = {argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -593,10 +577,6 @@ int main(int argc, char** argv) {
       indexed_core = true;
       continue;
     }
-    if (arg == "--calendar-core") {
-      calendar_core = true;
-      continue;
-    }
     if (arg == "--profile") {
       profile_phases = true;
       continue;
@@ -611,7 +591,6 @@ int main(int argc, char** argv) {
 
   ReplayConfig config;
   config.indexed_core = indexed_core;
-  config.calendar_core = calendar_core;
   config.profile_phases = profile_phases;
   const auto parse_int = [](const std::string& text, const char* what,
                             double minimum, auto& out) {

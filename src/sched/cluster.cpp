@@ -17,49 +17,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Min-heap comparator: std::pop_heap with greater<> surfaces the smallest
 /// (time, node) pair — equal times break toward the lower node index.
 constexpr auto kHeapOrder = std::greater<std::pair<double, int>>{};
-
-/// Clamped day index: times are finite simulation seconds, but a degenerate
-/// width must not push the double→integer cast into undefined territory.
-std::uint64_t day_of(double time, double width) noexcept {
-  const double ticks = time / width;
-  return static_cast<std::uint64_t>(ticks < 9.0e18 ? ticks : 9.0e18);
-}
 }  // namespace
-
-void Cluster::CalendarQueue::reset(std::size_t bucket_count, double start_time) {
-  if (buckets.size() != bucket_count) {
-    buckets.assign(bucket_count, {});
-  } else {
-    for (auto& bucket : buckets) bucket.clear();
-  }
-  width = 0.0;
-  cursor = start_time;
-  entries = 0;
-}
-
-std::size_t Cluster::CalendarQueue::bucket_of(double time) const noexcept {
-  return static_cast<std::size_t>(day_of(time, width)) & (buckets.size() - 1);
-}
-
-void Cluster::CalendarQueue::insert(double time, int node) {
-  if (width == 0.0) {
-    // Seed the bucket span from the session's first pending completion: the
-    // distance from the session clock to that completion approximates the
-    // steady-state spacing. Deterministic — identical traces seed identical
-    // widths. The guard keeps a same-instant first completion from
-    // collapsing the wheel to zero-width buckets.
-    const double gap = time - cursor;
-    width = gap > 0.0 ? gap : 1.0;
-  }
-  // A peek advances the cursor to the then-earliest live entry, but the
-  // next dispatch can happen at an *earlier* event (an arrival before that
-  // completion) and insert a completion below the cursor. Back the cursor
-  // up so it stays a lower bound on every live entry — otherwise the day
-  // walk starts past the new entry's day and returns a non-minimal time.
-  if (time < cursor) cursor = time;
-  buckets[bucket_of(time)].emplace_back(time, node);
-  entries += 1;
-}
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), budget_(config.total_power_budget_watts) {
@@ -112,13 +70,9 @@ void Cluster::invalidate_cap_prefix(std::size_t n) noexcept {
 
 void Cluster::set_node_next(int n, double next) {
   node_next_[static_cast<std::size_t>(n)] = next;
-  if (!std::isfinite(next)) return;
-  if (config_.event_core == EventCore::Indexed) {
-    completion_heap_.emplace_back(next, n);
-    std::push_heap(completion_heap_.begin(), completion_heap_.end(), kHeapOrder);
-  } else if (config_.event_core == EventCore::Calendar) {
-    calendar_.insert(next, n);
-  }
+  if (!std::isfinite(next) || !lazy_core()) return;
+  completion_heap_.emplace_back(next, n);
+  std::push_heap(completion_heap_.begin(), completion_heap_.end(), kHeapOrder);
 }
 
 void Cluster::begin_session(const CoScheduler& scheduler) {
@@ -150,14 +104,6 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
     energy_at_session_start_ += node->energy_joules();
     clock_at_session_start_ = std::max(clock_at_session_start_, node->now());
   }
-  if (config_.event_core == EventCore::Calendar) {
-    // ~2 buckets per node (power of two for mask indexing): at most one
-    // pending completion per node lives in the wheel at a time, so the mean
-    // bucket occupancy stays below one entry plus stale residue.
-    std::size_t bucket_count = 8;
-    while (bucket_count < nodes_.size() * 2) bucket_count <<= 1;
-    calendar_.reset(bucket_count, clock_at_session_start_);
-  }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const Node& node = *nodes_[n];
     if (!node.idle()) {
@@ -173,7 +119,7 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
   session_now_ = clock_at_session_start_;
 }
 
-void Cluster::submit(Job job) { queue_.push(std::move(job)); }
+void Cluster::submit(const Job& job) { queue_.push(job); }
 
 void Cluster::set_power_budget(std::optional<double> watts) {
   budget_ = watts;
@@ -245,10 +191,10 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
 
       DispatchPlan& plan = *plan_opt;
       // Node clock may lag global time if it has been idle (under the
-      // lazy cores possibly by many events — the idle catch-up).
+      // Indexed core possibly by many events — the idle catch-up).
       node.advance_to(now);
       if (plan.job2.has_value()) {
-        node.dispatch_pair(std::move(plan.job1), std::move(*plan.job2),
+        node.dispatch_pair(plan.job1, *plan.job2,
                            plan.allocation.state, plan.power_cap_watts);
         session_.pair_dispatches += 1;
         running_jobs_ += 2;
@@ -264,7 +210,7 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
                          "profile-run job needs a non-negative id");
           profiling_job_[ni] = plan.job1.id;
         }
-        node.dispatch_exclusive(std::move(plan.job1), plan.power_cap_watts);
+        node.dispatch_exclusive(plan.job1, plan.power_cap_watts);
         session_.exclusive_dispatches += 1;
         running_jobs_ += 1;
       }
@@ -285,66 +231,6 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
   return dispatches;
 }
 
-std::pair<double, int> Cluster::calendar_peek() const noexcept {
-  CalendarQueue& cal = calendar_;
-  if (cal.entries == 0) return {kInf, -1};
-  const std::size_t nb = cal.buckets.size();
-  // Walk one "year" of day windows starting at the cursor's day. The
-  // earliest live entry's day is >= the cursor's (the cursor is a lower
-  // bound on every live time), so if its day is within this year the walk
-  // meets it at exactly its day's step — earlier steps' windows end before
-  // its time. Stale entries (time no longer matching the node's
-  // authoritative next completion) are pruned as the scan meets them.
-  const std::uint64_t day0 = day_of(cal.cursor, cal.width);
-  for (std::size_t step = 0; step < nb; ++step) {
-    const std::uint64_t day = day0 + step;
-    auto& bucket = cal.buckets[static_cast<std::size_t>(day) & (nb - 1)];
-    const double window_end = static_cast<double>(day + 1) * cal.width;
-    double best_time = kInf;
-    int best_node = -1;
-    for (std::size_t i = 0; i < bucket.size();) {
-      const auto [time, n] = bucket[i];
-      if (time != node_next_[static_cast<std::size_t>(n)]) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        cal.entries -= 1;
-        continue;  // stale entry
-      }
-      if (time < window_end &&
-          (time < best_time || (time == best_time && n < best_node)))
-        best_time = time, best_node = n;
-      ++i;
-    }
-    if (best_node >= 0) {
-      cal.cursor = best_time;
-      return {best_time, best_node};
-    }
-    if (cal.entries == 0) return {kInf, -1};
-  }
-  // Sparse tail: nothing within a year of the cursor. Direct min scan over
-  // the live remainder (rare — fires when completion spacing jumps by more
-  // than nb× the seeded width), then re-anchor the cursor there.
-  double best_time = kInf;
-  int best_node = -1;
-  for (auto& bucket : cal.buckets) {
-    for (std::size_t i = 0; i < bucket.size();) {
-      const auto [time, n] = bucket[i];
-      if (time != node_next_[static_cast<std::size_t>(n)]) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        cal.entries -= 1;
-        continue;
-      }
-      if (time < best_time || (time == best_time && n < best_node))
-        best_time = time, best_node = n;
-      ++i;
-    }
-  }
-  if (best_node < 0) return {kInf, -1};
-  cal.cursor = best_time;
-  return {best_time, best_node};
-}
-
 double Cluster::next_completion_time() const noexcept {
   if (config_.event_core == EventCore::Exact) {
     double next = kInf;
@@ -352,7 +238,6 @@ double Cluster::next_completion_time() const noexcept {
       next = std::min(next, node->next_completion_time());
     return next;
   }
-  if (config_.event_core == EventCore::Calendar) return calendar_peek().first;
   // Indexed: discard stale heap tops (their node's next completion moved),
   // then the top is the earliest pending completion.
   while (!completion_heap_.empty()) {
@@ -376,13 +261,12 @@ void Cluster::drain_node(int n, double t, bool expect_completion,
     // left the slot with a sliver of work whose remaining time rounds below
     // the clock's resolution — the node's step loop exits at dt == 0 and
     // can never clear it, so the due slot completes at the node clock.
-    // All cores need this: the lazy cores expect the completion their
-    // pending structure popped, the Exact core the node's advertised
-    // next-completion time. A fleet-scale overloaded shard first exposed
-    // the Exact wedge.
+    // Both cores need this: the Indexed core expects the completion its
+    // heap popped, the Exact core the node's advertised next-completion
+    // time. A fleet-scale overloaded shard first exposed the Exact wedge.
     done.push_back(node.finish_head_slot());
   }
-  for (Job& job : done) {
+  for (const Job& job : done) {
     // job.id >= 0 guards the sentinel: a job submitted with the default id
     // (-1) must not alias the "no profile run" slot value.
     const bool was_profile = job.id >= 0 && profiling_job_[ni] == job.id;
@@ -391,29 +275,22 @@ void Cluster::drain_node(int n, double t, bool expect_completion,
     session_.jobs_completed += 1;
     running_jobs_ -= 1;
     turnaround_sum_ += job.finish_time - job.submit_time;
-    // Jobs off the interned hot path carry only an app id; name-keyed
-    // consumers (per-job stats, the profile store) resolve it through the
-    // scheduler's symbol table.
+    // Jobs carry only an app id; per-job stats resolve the name through
+    // the scheduler's symbol table.
     if (config_.collect_job_stats) {
       JobStat stat;
       stat.id = job.id;
-      stat.app = (job.app.empty() && job.app_id != kNoSymbol)
-                     ? scheduler.app_name(job.app_id)
-                     : job.app;
+      stat.app = scheduler.app_name(job.app_id);
       stat.turnaround = job.finish_time - job.submit_time;
       stat.runtime = job.finish_time - job.start_time;
       session_.jobs.push_back(std::move(stat));
     }
     if (was_profile) {
-      if (job.app.empty() && job.app_id != kNoSymbol)
-        scheduler.record_profile(job.app_id,
-                                 prof::profile_run(node.chip(), *job.kernel));
-      else
-        scheduler.record_profile(job.app,
-                                 prof::profile_run(node.chip(), *job.kernel));
+      scheduler.record_profile(job.app_id,
+                               prof::profile_run(node.chip(), *job.kernel));
       session_.profile_runs += 1;
     }
-    finished.push_back(std::move(job));
+    finished.push_back(job);
   }
   if (node.idle()) {
     if (node_busy_[ni]) {
@@ -448,25 +325,6 @@ const std::vector<Job>& Cluster::advance_to(double t, CoScheduler& scheduler) {
       drain_node(static_cast<int>(n), t,
                  /*expect_completion=*/node_next_[n] <= t, scheduler,
                  finished);
-    }
-    return finished;
-  }
-  if (config_.event_core == EventCore::Calendar) {
-    // Pop due completions in (time, node) order off the wheel — the same
-    // drain order as the Indexed heap and the Exact node scan.
-    while (true) {
-      const auto [time, n] = calendar_peek();
-      if (n < 0 || time > t) break;
-      auto& bucket = calendar_.buckets[calendar_.bucket_of(time)];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].first == time && bucket[i].second == n) {
-          bucket[i] = bucket.back();
-          bucket.pop_back();
-          calendar_.entries -= 1;
-          break;
-        }
-      }
-      drain_node(n, t, /*expect_completion=*/true, scheduler, finished);
     }
     return finished;
   }
@@ -509,7 +367,7 @@ ClusterReport Cluster::report(const CoScheduler& scheduler) const {
     report.makespan_seconds =
         std::max(report.makespan_seconds, node->now() - clock_at_session_start_);
     report.total_energy_joules += node->energy_joules();
-    // Mid-session under a lazy core a *busy* node may lag the session
+    // Mid-session under the Indexed core a *busy* node may lag the session
     // clock (its next event is still ahead); its draw is constant over the
     // gap, so the missing energy is one multiply. At session end all nodes
     // are idle and caught up, so this term vanishes and the report equals
@@ -567,7 +425,7 @@ std::size_t Cluster::kill_node(std::size_t ni, CoScheduler& scheduler,
   node_busy_[ni] = 0;
   invalidate_cap_prefix(ni);
   // Publish "no completion pending" directly: set_node_next only feeds
-  // finite times to the lazy cores, and any entry they already hold for
+  // finite times to the Indexed heap, and any entry it already holds for
   // this node is stale against +inf and pruned on the next scan.
   node_next_[ni] = kInf;
   return out.size() - first;
@@ -667,7 +525,7 @@ ClusterReport Cluster::run(std::vector<Job> jobs, CoScheduler& scheduler) {
   while (true) {
     while (next_submit < jobs.size() &&
            jobs[next_submit].submit_time <= now)
-      submit(std::move(jobs[next_submit++]));
+      submit(jobs[next_submit++]);
     dispatch(scheduler, now);
     if (next_submit == jobs.size() && queue_.empty() && running_count() == 0)
       break;

@@ -32,14 +32,6 @@
 //     decisions are identical to Exact; continuous outputs (energy,
 //     makespan) agree to rounding because the same work/power is integrated
 //     over coarser steps. Million-job replays use this core.
-//   - EventCore::Calendar shares Indexed's lazy catch-up semantics but keeps
-//     pending completions in a bucketed timer wheel (calendar queue) instead
-//     of a heap: insert is O(1) and pops walk the wheel in time order, so
-//     per-event cost is O(1) amortized when completion spacing is roughly
-//     stationary (trace replay's steady state). Stale entries are skipped
-//     against the authoritative per-node times exactly like the heap's, and
-//     equal-time completions drain in node-index order — the schedule is
-//     identical to Indexed (and therefore to Exact).
 #pragma once
 
 #include <cstdint>
@@ -55,9 +47,8 @@
 namespace migopt::sched {
 
 enum class EventCore {
-  Exact,     ///< advance all nodes every event (bit-pinned FP stepping)
-  Indexed,   ///< completion heap + lazy idle catch-up (O(log n) per event)
-  Calendar,  ///< bucketed timer wheel + lazy idle catch-up (O(1) amortized)
+  Exact,    ///< advance all nodes every event (bit-pinned FP stepping)
+  Indexed,  ///< completion heap + lazy idle catch-up (O(log n) per event)
 };
 
 struct ClusterConfig {
@@ -73,7 +64,7 @@ struct ClusterConfig {
   /// budget shifting applied to the dispatch loop. Empty = unconstrained.
   std::optional<double> total_power_budget_watts;
   /// See the header comment; Exact is bit-compatible with the checked-in
-  /// baselines, Indexed/Calendar decouple per-event cost from node count.
+  /// baselines, Indexed decouples per-event cost from node count.
   EventCore event_core = EventCore::Exact;
   /// Collect the per-job JobStat vector in the report. Million-job replays
   /// turn this off; aggregate statistics (mean turnaround, counts) are
@@ -143,7 +134,7 @@ class Cluster {
   void begin_session(const CoScheduler& scheduler);
 
   /// Enqueue an arriving job.
-  void submit(Job job);
+  void submit(const Job& job);
 
   /// Replace the cluster power budget for all *future* dispatches (running
   /// jobs keep their caps — a cap is a provisioning contract). Empty lifts
@@ -171,8 +162,8 @@ class Cluster {
   /// jobs with their finish_time set. Profile runs are recorded with the
   /// scheduler (releasing held-back jobs of the same application) and all
   /// per-job statistics are accumulated for report(). The Exact core steps
-  /// every node to `t`; the lazy cores touch only nodes with due
-  /// completions (equal-time completions drain in node-index order in all).
+  /// every node to `t`; the Indexed core touches only nodes with due
+  /// completions (equal-time completions drain in node-index order in both).
   /// The returned reference aliases an internal scratch buffer reused by
   /// the next advance_to call — consume (or copy) it before advancing again.
   const std::vector<Job>& advance_to(double t, CoScheduler& scheduler);
@@ -246,7 +237,7 @@ class Cluster {
 
   /// Statistics accumulated since begin_session (makespan from node clocks,
   /// energy and DecisionCache counters as deltas against the session start).
-  /// Under the lazy cores this first catches idle nodes up to the session
+  /// Under the Indexed core this first catches idle nodes up to the session
   /// clock so idle power accrues to the end of the session, exactly as the
   /// Exact core does eagerly.
   ClusterReport report(const CoScheduler& scheduler) const;
@@ -255,26 +246,6 @@ class Cluster {
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept { return nodes_; }
 
  private:
-  /// Pending (completion time, node) entries of the Calendar core: a
-  /// bucketed timer wheel. Entries are never removed eagerly — an entry
-  /// whose time no longer matches the authoritative node_next_ is stale and
-  /// dropped when a scan meets it, mirroring the Indexed core's lazy heap.
-  /// The bucket width is seeded deterministically from the first pending
-  /// completion of the session, so identical traces walk identical wheels.
-  struct CalendarQueue {
-    std::vector<std::vector<std::pair<double, int>>> buckets;
-    double width = 0.0;       ///< bucket span in seconds (0 = unseeded)
-    /// Lower bound on the earliest live entry: peeks advance it to the
-    /// found minimum, inserts below it back it up (a dispatch at an earlier
-    /// event can add a completion before the last peeked one).
-    double cursor = 0.0;
-    std::size_t entries = 0;  ///< live + stale entries resident
-
-    void reset(std::size_t bucket_count, double start_time);
-    void insert(double time, int node);
-    std::size_t bucket_of(double time) const noexcept;
-  };
-
   bool lazy_core() const noexcept {
     return config_.event_core != EventCore::Exact;
   }
@@ -285,13 +256,13 @@ class Cluster {
   double busy_cap_sum() const noexcept;
   /// Advance node `n` to `t`, folding its completions into the session
   /// statistics and updating the occupancy/event-core bookkeeping. With
-  /// `expect_completion` (a lazy core popped a due entry) a node that
+  /// `expect_completion` (the Indexed core popped a due entry) a node that
   /// yields no completion force-finishes its due slot — see
   /// Node::finish_head_slot.
   void drain_node(int n, double t, bool expect_completion,
                   CoScheduler& scheduler, std::vector<Job>& finished);
-  /// Record node `n`'s next completion (+inf when idle) and, under a lazy
-  /// core, publish it to the pending-completion structure.
+  /// Record node `n`'s next completion (+inf when idle) and, under the
+  /// Indexed core, push it onto the completion heap.
   void set_node_next(int n, double next);
 
   /// Sorted-insert `ni` into idle_nodes_ on a busy→idle transition.
@@ -307,9 +278,6 @@ class Cluster {
 
   /// Busy set or cap changed at node `n`: partial sums >= n are stale.
   void invalidate_cap_prefix(std::size_t n) noexcept;
-  /// Earliest non-stale calendar entry (pruning stale ones met on the way);
-  /// {+inf, -1} when none pending. Ties resolve to the lowest node index.
-  std::pair<double, int> calendar_peek() const noexcept;
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -369,8 +337,6 @@ class Cluster {
   /// entries whose time no longer matches node_next_ are skipped on pop.
   /// Ties pop in node-index order, matching the Exact core's node scan.
   mutable std::vector<std::pair<double, int>> completion_heap_;
-  /// Pending completions under the Calendar core (same staleness rule).
-  mutable CalendarQueue calendar_;
   /// Reused buffers of the advance_to → drain_node hot path: the common
   /// no-completion step allocates nothing (capacity persists across steps).
   std::vector<Job> finished_scratch_;

@@ -102,12 +102,6 @@ const core::Decision& CoScheduler::cap_curve_entry(AppId pivot, AppId candidate,
   return curve[level];
 }
 
-AppId CoScheduler::app_id_at(JobQueue& queue, std::size_t index) {
-  Job& job = queue.peek_mutable(index);
-  if (job.app_id == kNoSymbol) job.app_id = allocator_->intern_app(job.app);
-  return job.app_id;
-}
-
 void CoScheduler::set_profiling_in_flight(AppId app, bool value) {
   MIGOPT_REQUIRE(app != kNoSymbol, "profiling flag for an uninterned app");
   if (profiling_in_flight_.size() <= app)
@@ -143,7 +137,7 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
   std::optional<std::size_t> pivot;
   AppId pivot_app = kNoSymbol;
   for (std::size_t i = 0; i < ready; ++i) {
-    const AppId app = app_id_at(queue, i);
+    const AppId app = queue.peek(i).app_id;
     if (!profiling_in_flight(app)) {
       pivot = i;
       pivot_app = app;
@@ -189,8 +183,8 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
   std::optional<std::size_t> best_index;
   core::Decision best_decision;
   for (std::size_t i = *pivot + 1; i < window; ++i) {
-    const AppId candidate_app = app_id_at(queue, i);
     const Job& candidate = queue.peek(i);
+    const AppId candidate_app = candidate.app_id;
     if (profiling_in_flight(candidate_app)) continue;
     if (!allocator_->can_coschedule(candidate_app)) continue;
     const core::Decision& decision = decision_cache_.get_or_compute(
@@ -220,25 +214,16 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
   return plan;
 }
 
-void CoScheduler::record_profile(const std::string& app,
-                                 const prof::CounterSet& counters) {
-  set_profiling_in_flight(allocator_->intern_app(app), false);
-  allocator_->record_profile(app, counters);
+void CoScheduler::record_profile(AppId app, const prof::CounterSet& counters) {
+  set_profiling_in_flight(app, false);
+  allocator_->record_profile(allocator_->profiles().app_name(app), counters);
   // A new/updated profile changes what the allocator may answer; drop every
   // memoized decision and resync with the store's revision.
   invalidate_decisions();
 }
 
-void CoScheduler::record_profile(AppId app, const prof::CounterSet& counters) {
-  set_profiling_in_flight(app, false);
-  allocator_->record_profile(allocator_->profiles().app_name(app), counters);
-  invalidate_decisions();
-}
-
 void CoScheduler::abort_profile(const Job& job) {
-  const AppId app = job.app_id != kNoSymbol ? job.app_id
-                                            : allocator_->intern_app(job.app);
-  set_profiling_in_flight(app, false);
+  set_profiling_in_flight(job.app_id, false);
 }
 
 }  // namespace migopt::sched

@@ -113,21 +113,17 @@ class CoScheduler {
   /// ContractViolation when the grid is empty instead of returning +inf.
   double min_cap() const;
 
-  /// Record a profile measured during an exclusive first run. Releases any
-  /// queued jobs of the same application held back while it was in flight and
-  /// invalidates the decision cache (the allocator's answers may change).
-  void record_profile(const std::string& app, const prof::CounterSet& counters);
-
-  /// Same, keyed by interned id — the completion path of jobs that carry no
-  /// app string (trace replay's interned hot path).
+  /// Record a profile measured during an exclusive first run of `app` (an
+  /// id from intern_app). Releases any queued jobs of the same application
+  /// held back while it was in flight and invalidates the decision cache
+  /// (the allocator's answers may change).
   void record_profile(AppId app, const prof::CounterSet& counters);
 
   /// A dispatched profile run died without producing a profile (its node
   /// crashed, or a power emergency shed it): clear the in-flight flag so
   /// queued jobs of the application are released and the *next* exclusive
   /// run re-attempts the profile. Nothing was recorded, so the decision
-  /// cache stays valid. `job` resolves its app by id when interned, by
-  /// name otherwise.
+  /// cache stays valid.
   void abort_profile(const Job& job);
 
   /// Name of an interned app id (the allocator's symbol table). Throws on
@@ -138,8 +134,8 @@ class CoScheduler {
 
   /// Intern an app name against the allocator's profile store (the id space
   /// Job::app_id, the in-flight bitmap, and DecisionCache keys live in).
-  /// Producers of many jobs (trace::SimEngine) intern once per distinct app;
-  /// next() interns lazily for jobs that arrive with only the string.
+  /// Every job producer stamps Job::app_id through this; producers of many
+  /// jobs (trace::SimEngine) intern once per distinct app.
   AppId intern_app(const std::string& app) { return allocator_->intern_app(app); }
 
   /// Memoized allocator decisions for the pairing window; hits/misses expose
@@ -171,9 +167,6 @@ class CoScheduler {
   const core::Decision& cap_curve_entry(AppId pivot, AppId candidate,
                                         std::size_t level);
 
-  /// Interned app id of the job at queue position `index` (interning it on
-  /// first sight, so jobs submitted without ids still take the fast path).
-  AppId app_id_at(JobQueue& queue, std::size_t index);
   bool profiling_in_flight(AppId app) const noexcept {
     return app < profiling_in_flight_.size() && profiling_in_flight_[app] != 0;
   }

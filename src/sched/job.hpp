@@ -1,9 +1,9 @@
-// Jobs as the cluster-level scheduler sees them: a named application (whose
-// kernel characteristics the node will execute) plus total work and
-// bookkeeping timestamps.
+// Jobs as the cluster-level scheduler sees them: an application, identified
+// by its interned id (whose kernel characteristics the node will execute),
+// plus total work and bookkeeping timestamps.
 #pragma once
 
-#include <string>
+#include <type_traits>
 
 #include "common/interner.hpp"
 #include "gpusim/kernel.hpp"
@@ -11,25 +11,19 @@
 namespace migopt::sched {
 
 using JobId = int;
-/// Interned Job::app against the scheduling allocator's profile store.
+/// Interned application name against the scheduling allocator's profile
+/// store (CoScheduler::intern_app / app_name).
 using AppId = Symbol;
 /// Interned tenant name (trace::SimEngine's accounting table).
 using TenantId = Symbol;
 
+/// A plain value: no owned heap state, so queue and node bookkeeping move it
+/// as a field copy. Name-keyed consumers (JobStat, error messages) resolve
+/// app_id back through the scheduler's symbol table.
 struct Job {
   JobId id = -1;
-  /// Workload name (profile-database key). Hot-path producers that intern
-  /// (trace::SimEngine with SimConfig::intern_symbols) leave it empty and
-  /// set app_id instead — the job then carries no owned heap state at all,
-  /// so moving it through queue/node bookkeeping is a plain field copy
-  /// (trivially relocatable in practice; the SSO string never allocates).
-  /// Name-keyed consumers (JobStat, profile recording, stall diagnostics)
-  /// resolve the name back through the scheduler's symbol table.
-  std::string app;
-  /// Interned `app` (kNoSymbol until interned). Only meaningful against the
-  /// allocator/scheduler the job is dispatched through: trace::SimEngine
-  /// pre-interns arrivals, and CoScheduler::next interns lazily for jobs
-  /// submitted with the string only — both end up with the same ids.
+  /// The application (profile-database key). Only meaningful against the
+  /// allocator/scheduler the job is dispatched through; required.
   AppId app_id = kNoSymbol;
   /// Interned tenant for engine-side accounting (kNoSymbol outside traces).
   TenantId tenant_id = kNoSymbol;
@@ -55,5 +49,9 @@ struct Job {
   bool finished() const noexcept { return finish_time >= 0.0; }
   void validate() const;
 };
+
+static_assert(std::is_trivially_copyable_v<Job>,
+              "Job must stay a plain value (JobQueue keeps it in raw arena slots)");
+static_assert(sizeof(Job) <= 72, "Job is copied on every queue and node move");
 
 }  // namespace migopt::sched

@@ -7,27 +7,36 @@
 
 namespace migopt::sched {
 
-std::uint32_t JobQueue::acquire_slot(Job&& job) {
+std::uint32_t JobQueue::acquire_slot(const Job& job) {
+  // With the free list empty every slot handed out so far is live, so the
+  // next fresh slot id is the live count.
+  std::uint32_t id = static_cast<std::uint32_t>(size());
   if (!free_.empty()) {
-    const std::uint32_t id = free_.back();
+    id = free_.back();
     free_.pop_back();
-    slot(id) = std::move(job);
-    return id;
-  }
-  if (constructed_ == chunks_.size() * kChunkJobs)
+  } else if (id == chunks_.size() * kChunkJobs) {
     chunks_.push_back(arena_.allocate_array<Job>(kChunkJobs));
-  const std::uint32_t id = static_cast<std::uint32_t>(constructed_++);
-  ::new (&slot(id)) Job(std::move(job));
+  }
+  slot(id) = job;
   return id;
 }
 
-void JobQueue::destroy_slots() noexcept {
-  for (std::size_t id = 0; id < constructed_; ++id)
-    slot(static_cast<std::uint32_t>(id)).~Job();
-  constructed_ = 0;
+void JobQueue::swap(JobQueue& other) noexcept {
+  std::swap(arena_, other.arena_);
+  std::swap(chunks_, other.chunks_);
+  std::swap(free_, other.free_);
+  std::swap(order_, other.order_);
+  std::swap(keys_, other.keys_);
+  std::swap(head_, other.head_);
+  std::swap(total_work_units_, other.total_work_units_);
+  std::swap(ready_valid_, other.ready_valid_);
+  std::swap(ready_now_, other.ready_now_);
+  std::swap(ready_count_, other.ready_count_);
 }
 
-void JobQueue::reset_members() noexcept {
+void JobQueue::clear() noexcept {
+  // Job is trivially destructible: rewinding the arena is the whole
+  // teardown, and the chunks are re-carved from the same blocks.
   arena_.reset();
   chunks_.clear();
   free_.clear();
@@ -40,25 +49,6 @@ void JobQueue::reset_members() noexcept {
   ready_count_ = 0;
 }
 
-void JobQueue::swap(JobQueue& other) noexcept {
-  std::swap(arena_, other.arena_);
-  std::swap(chunks_, other.chunks_);
-  std::swap(constructed_, other.constructed_);
-  std::swap(free_, other.free_);
-  std::swap(order_, other.order_);
-  std::swap(keys_, other.keys_);
-  std::swap(head_, other.head_);
-  std::swap(total_work_units_, other.total_work_units_);
-  std::swap(ready_valid_, other.ready_valid_);
-  std::swap(ready_now_, other.ready_now_);
-  std::swap(ready_count_, other.ready_count_);
-}
-
-void JobQueue::clear() noexcept {
-  destroy_slots();
-  reset_members();
-}
-
 void JobQueue::push(Job job) {
   job.validate();
   // Stable priority insertion: scan back over strictly lower priorities, so
@@ -69,7 +59,7 @@ void JobQueue::push(Job job) {
   const QueueKey key{job.submit_time, job.priority};
   const bool ready = job.submit_time <= ready_now_;
   total_work_units_ += job.work_units;
-  const std::uint32_t id = acquire_slot(std::move(job));
+  const std::uint32_t id = acquire_slot(job);
   std::size_t at = order_.size();
   while (at > head_ && keys_[at - 1].priority < key.priority) --at;
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), id);
@@ -92,11 +82,6 @@ const Job& JobQueue::front() const {
 }
 
 const Job& JobQueue::peek(std::size_t index) const {
-  MIGOPT_REQUIRE(index < size(), "peek beyond queue size");
-  return slot(order_[head_ + index]);
-}
-
-Job& JobQueue::peek_mutable(std::size_t index) {
   MIGOPT_REQUIRE(index < size(), "peek beyond queue size");
   return slot(order_[head_ + index]);
 }
@@ -126,7 +111,7 @@ Job JobQueue::pop_at(std::size_t index) {
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(at));
     keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(at));
   }
-  Job job = std::move(slot(id));
+  const Job job = slot(id);
   free_.push_back(id);
   total_work_units_ -= job.work_units;
   if (empty()) {

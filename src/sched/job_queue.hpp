@@ -45,17 +45,13 @@ namespace migopt::sched {
 class JobQueue {
  public:
   JobQueue() = default;
-  ~JobQueue() { destroy_slots(); }
 
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
+  /// Moves swap contents, so a moved-from queue is always a valid queue.
   JobQueue(JobQueue&& other) noexcept { swap(other); }
   JobQueue& operator=(JobQueue&& other) noexcept {
-    if (this != &other) {
-      destroy_slots();
-      reset_members();
-      swap(other);
-    }
+    swap(other);
     return *this;
   }
 
@@ -69,10 +65,6 @@ class JobQueue {
   const Job& front() const;
   /// Look at position `index` from the front (0 == front).
   const Job& peek(std::size_t index) const;
-  /// Mutable access for bookkeeping writes (the scheduler interning
-  /// Job::app_id in place). Callers must not touch the fields the queue
-  /// orders by (priority, submit_time) — reorder by pop + push instead.
-  Job& peek_mutable(std::size_t index);
 
   Job pop_front();
   /// Remove and return the job at `index` (used when a partner is selected
@@ -117,9 +109,7 @@ class JobQueue {
   const Job& slot(std::uint32_t id) const noexcept {
     return chunks_[id / kChunkJobs][id % kChunkJobs];
   }
-  std::uint32_t acquire_slot(Job&& job);
-  void destroy_slots() noexcept;
-  void reset_members() noexcept;
+  std::uint32_t acquire_slot(const Job& job);
   void swap(JobQueue& other) noexcept;
 
   /// Extend the cached prefix over jobs with submit_time <= ready_now_.
@@ -127,7 +117,6 @@ class JobQueue {
 
   Arena arena_;
   std::vector<Job*> chunks_;         ///< arena-backed slabs of kChunkJobs
-  std::size_t constructed_ = 0;      ///< slots [0, constructed_) are live Jobs
   std::vector<std::uint32_t> free_;  ///< recycled slot ids
   std::vector<std::uint32_t> order_; ///< queue order -> slot id
   std::vector<QueueKey> keys_;       ///< parallel to order_

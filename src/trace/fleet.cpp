@@ -365,29 +365,6 @@ RoutePlan FleetEngine::plan(const Trace& fleet_trace) const {
   return plan;
 }
 
-FleetEngine::ShardedTrace FleetEngine::route(const Trace& fleet_trace) const {
-  // Materialize real per-shard traces from the index plan — the event copy
-  // replay no longer pays, for callers that want standalone shard traces.
-  const RoutePlan plan = this->plan(fleet_trace);
-  ShardedTrace sharded;
-  sharded.router = plan.router;
-  sharded.shards.resize(plan.steps.size());
-  for (std::size_t c = 0; c < plan.steps.size(); ++c) {
-    Trace& shard = sharded.shards[c];
-    shard.events.reserve(plan.steps[c].size());
-    for (const std::uint32_t step : plan.steps[c]) {
-      if (step & RoutedShard::kShareBit) {
-        const BudgetShare& share = plan.shares[step & ~RoutedShard::kShareBit];
-        shard.events.push_back(
-            TraceEvent::budget(share.time_seconds, share.watts));
-      } else {
-        shard.events.push_back(fleet_trace.events[step]);
-      }
-    }
-  }
-  return sharded;
-}
-
 FleetReport FleetEngine::replay(const Trace& fleet_trace) const {
   obs::SpanTracer* const tracer =
       (config_.tracer != nullptr && config_.tracer->enabled()) ? config_.tracer

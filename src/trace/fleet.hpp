@@ -13,9 +13,7 @@
 // model). Routing output is O(events × sizeof(u32)) regardless of event
 // payload size: no per-shard Trace copies, no duplicated strings. Shard
 // sessions then iterate their index spans straight over the shared
-// immutable fleet trace (SimEngine's RoutedShard overload); route()
-// materializes real per-shard Traces from the same plan for callers that
-// want standalone shard traces (and for the zero-copy equivalence tests).
+// immutable fleet trace (SimEngine's RoutedShard overload).
 //
 // Routing runs before replay on purpose: placement decisions depend only on
 // the arrival stream and the router's deterministic open-loop load model
@@ -208,7 +206,7 @@ struct FleetConfig {
   /// prepended to every shard as a budget event. Empty = per-cluster
   /// configs stand alone.
   std::optional<double> fleet_power_budget_watts;
-  /// Per-shard engine knobs (sim-time guard, sampling, interning).
+  /// Per-shard engine knobs (sim-time guard, telemetry sampling).
   SimConfig sim;
   /// Scheduling policy and tuning every cluster runs (clusters are
   /// homogeneous; heterogeneous fleets would lift these per-cluster).
@@ -294,17 +292,6 @@ class FleetEngine {
   /// decision latency when configured). Serial and deterministic; the plan
   /// views `fleet_trace` and must not outlive it.
   RoutePlan plan(const Trace& fleet_trace) const;
-
-  struct ShardedTrace {
-    std::vector<Trace> shards;  ///< one per cluster, time order preserved
-    RouterStats router;
-  };
-
-  /// plan() materialized into standalone per-cluster shard traces (event
-  /// copies). Replay does not need this — it iterates the plan in place;
-  /// kept for callers that want self-contained shard traces and as the
-  /// reference the zero-copy equivalence tests replay against.
-  ShardedTrace route(const Trace& fleet_trace) const;
 
   /// plan() + replay every shard through its own SimEngine session over
   /// `config.threads` workers, then merge. Shards iterate the plan's index

@@ -205,9 +205,7 @@ template <typename Source>
   const JobBook& book = books[static_cast<std::size_t>(head.id)];
   const std::string tenant =
       source.tenant_name(static_cast<Symbol>(book.tenant_index));
-  const std::string app = (head.app.empty() && head.app_id != kNoSymbol)
-                              ? scheduler.app_name(head.app_id)
-                              : head.app;
+  const std::string& app = scheduler.app_name(head.app_id);
   throw ContractViolation(
       "trace replay stalled: " + std::to_string(cluster.queued_count()) +
       " job(s) queued but no future event can release them; head job " +
@@ -245,9 +243,7 @@ template <typename Source>
       head_book = &books[static_cast<std::size_t>(head.id)];
       const std::string tenant =
           source.tenant_name(static_cast<Symbol>(head_book->tenant_index));
-      const std::string app = (head.app.empty() && head.app_id != kNoSymbol)
-                                  ? scheduler.app_name(head.app_id)
-                                  : head.app;
+      const std::string& app = scheduler.app_name(head.app_id);
       message += "; head job " + std::to_string(head.id) + " (app '" + app +
                  "', tenant '" + tenant +
                  "', submitted t=" + std::to_string(head.submit_time) + "s)";
@@ -521,27 +517,20 @@ SimReport replay_impl(const SimConfig& config, Source& source,
 
         sched::Job job;
         job.id = static_cast<sched::JobId>(books.size());
-        if (config.intern_symbols) {
-          // Fast path: the registry walk and baseline model run once per
-          // distinct app; the job carries only its interned ids (no string
-          // copy — stats and profile recording resolve names through the
-          // scheduler's symbol table).
-          job.app_id = scheduler.intern_app(arrival.app);
-          job.tenant_id = event.tenant;
-          if (job.app_id >= app_info.size())
-            app_info.resize(static_cast<std::size_t>(job.app_id) + 1);
-          AppInfo& info = app_info[job.app_id];
-          if (info.kernel == nullptr) {
-            info.kernel = &registry.by_name(arrival.app).kernel;
-            info.solo_seconds_per_wu = chip.baseline_seconds(*info.kernel);
-          }
-          job.kernel = info.kernel;
-          job.solo_seconds_per_wu = info.solo_seconds_per_wu;
-        } else {
-          job.app = arrival.app;
-          job.kernel = &registry.by_name(arrival.app).kernel;
-          job.solo_seconds_per_wu = chip.baseline_seconds(*job.kernel);
+        // The registry walk and baseline model run once per distinct app;
+        // the job carries only its interned ids (stats and profile
+        // recording resolve names through the scheduler's symbol table).
+        job.app_id = scheduler.intern_app(arrival.app);
+        job.tenant_id = event.tenant;
+        if (job.app_id >= app_info.size())
+          app_info.resize(static_cast<std::size_t>(job.app_id) + 1);
+        AppInfo& info = app_info[job.app_id];
+        if (info.kernel == nullptr) {
+          info.kernel = &registry.by_name(arrival.app).kernel;
+          info.solo_seconds_per_wu = chip.baseline_seconds(*info.kernel);
         }
+        job.kernel = info.kernel;
+        job.solo_seconds_per_wu = info.solo_seconds_per_wu;
         job.work_units =
             std::max(1.0, arrival.work_seconds / job.solo_seconds_per_wu);
         job.submit_time = arrival.time_seconds;

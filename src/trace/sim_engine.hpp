@@ -76,17 +76,6 @@ struct SimConfig {
   /// Chrome-trace track (tid) this replay's spans land on (the fleet engine
   /// gives each shard its own lane).
   std::uint32_t trace_track = 0;
-  /// When true (default) the engine interns app/tenant names once per
-  /// distinct symbol and stamps Job::app_id/tenant_id on every arrival, with
-  /// the registry lookup and baseline-seconds model memoized per app — the
-  /// fast path for million-job traces. Jobs then carry *only* the ids (the
-  /// app string stays empty; name-keyed consumers resolve through the
-  /// scheduler's symbol table), so the hot path never copies a string. When
-  /// false, jobs are submitted with only the string (the scheduler interns
-  /// lazily) and per-arrival lookups go through the registry each time — the
-  /// legacy string path the interning-equivalence tests replay against.
-  /// Both produce bit-identical reports.
-  bool intern_symbols = true;
   /// Optional fault plan (non-owning; null or empty = fault-free, the
   /// unchanged hot path — reports are byte-identical to a build without
   /// the fault layer). When set, the event loop injects the plan's node

@@ -79,13 +79,13 @@ TEST(ExtensionIntegration, BrokerPlanRunsWithinClusterBudget) {
     sched::Node node(static_cast<int>(i));
     sched::Job a;
     a.id = static_cast<int>(2 * i);
-    a.app = workloads[i].app1;
-    a.kernel = &shared_registry().by_name(a.app).kernel;
+    a.app_id = allocator.intern_app(workloads[i].app1);
+    a.kernel = &shared_registry().by_name(workloads[i].app1).kernel;
     a.work_units = 50.0;
     sched::Job b = a;
     b.id = a.id + 1;
-    b.app = workloads[i].app2;
-    b.kernel = &shared_registry().by_name(b.app).kernel;
+    b.app_id = allocator.intern_app(workloads[i].app2);
+    b.kernel = &shared_registry().by_name(workloads[i].app2).kernel;
     node.dispatch_pair(a, b, decision.state, plan.nodes[i].cap_watts);
     EXPECT_LE(node.cap_watts(), plan.nodes[i].cap_watts + 1e-9);
     const auto finished = node.advance_to(1e6);
@@ -121,13 +121,13 @@ TEST(ExtensionIntegration, GroupDecisionSurvivesMeasurement) {
 
 TEST(ExtensionIntegration, BudgetedClusterMatchesUnbudgetedWhenLoose) {
   // A budget that can never bind must not change the schedule.
-  const auto jobs = [] {
+  const auto jobs = [](sched::CoScheduler& scheduler) {
     std::vector<sched::Job> out;
     int id = 0;
     for (const char* app : {"igemm4", "stream", "sgemm", "needle"}) {
       sched::Job job;
       job.id = id++;
-      job.app = app;
+      job.app_id = scheduler.intern_app(app);
       job.kernel = &shared_registry().by_name(app).kernel;
       job.work_units = 100.0;
       out.push_back(job);
@@ -141,14 +141,14 @@ TEST(ExtensionIntegration, BudgetedClusterMatchesUnbudgetedWhenLoose) {
   sched::ClusterConfig config;
   config.node_count = 2;
   sched::Cluster unbudgeted(config);
-  const auto base = unbudgeted.run(jobs(), sched_a);
+  const auto base = unbudgeted.run(jobs(sched_a), sched_a);
 
   auto allocator_b = core::ResourcePowerAllocator::train(
       shared_chip(), shared_registry(), shared_pairs());
   sched::CoScheduler sched_b(allocator_b, core::Policy::problem1(250.0, 0.2));
   config.total_power_budget_watts = 10000.0;  // never binds
   sched::Cluster budgeted(config);
-  const auto loose = budgeted.run(jobs(), sched_b);
+  const auto loose = budgeted.run(jobs(sched_b), sched_b);
 
   EXPECT_DOUBLE_EQ(base.makespan_seconds, loose.makespan_seconds);
   EXPECT_EQ(base.pair_dispatches, loose.pair_dispatches);

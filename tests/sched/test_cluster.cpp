@@ -16,7 +16,7 @@ core::ResourcePowerAllocator make_allocator() {
       test::shared_chip(), test::shared_registry(), test::shared_pairs());
 }
 
-std::vector<Job> mixed_job_set() {
+std::vector<Job> mixed_job_set(CoScheduler& scheduler) {
   // One job from each class family, sized so every job runs ~12 s solo on
   // the full chip. Comparable durations are the pairing-friendly case: the
   // co-location overlap covers the whole runtime instead of stranding a long
@@ -28,7 +28,7 @@ std::vector<Job> mixed_job_set() {
   for (const auto& app : apps) {
     Job job;
     job.id = id++;
-    job.app = app;
+    job.app_id = scheduler.intern_app(app);
     job.kernel = &test::shared_registry().by_name(app).kernel;
     job.solo_seconds_per_wu = test::shared_chip().baseline_seconds(*job.kernel);
     job.work_units = std::max(1.0, std::round(12.0 / job.solo_seconds_per_wu));
@@ -44,7 +44,7 @@ TEST(Cluster, AllJobsComplete) {
   ClusterConfig config;
   config.node_count = 2;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.jobs_completed, 8u);
   EXPECT_GT(report.makespan_seconds, 0.0);
   EXPECT_GT(report.total_energy_joules, 0.0);
@@ -60,7 +60,7 @@ TEST(Cluster, CoschedulingPairsJobs) {
   ClusterConfig config;
   config.node_count = 1;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_GT(report.pair_dispatches, 0u);
 }
 
@@ -71,7 +71,7 @@ TEST(Cluster, ExclusiveBaselineNeverPairs) {
   config.node_count = 2;
   config.enable_coscheduling = false;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.pair_dispatches, 0u);
   EXPECT_EQ(report.exclusive_dispatches, 8u);
   EXPECT_EQ(report.jobs_completed, 8u);
@@ -85,13 +85,13 @@ TEST(Cluster, CoschedulingBeatsExclusiveMakespan) {
   ClusterConfig config;
   config.node_count = 2;
   Cluster co_cluster(config);
-  const ClusterReport with_pairs = co_cluster.run(mixed_job_set(), cosched);
+  const ClusterReport with_pairs = co_cluster.run(mixed_job_set(cosched), cosched);
 
   auto allocator_b = make_allocator();
   CoScheduler excl_sched(allocator_b, core::Policy::problem1(250.0, 0.2));
   config.enable_coscheduling = false;
   Cluster excl_cluster(config);
-  const ClusterReport exclusive = excl_cluster.run(mixed_job_set(), excl_sched);
+  const ClusterReport exclusive = excl_cluster.run(mixed_job_set(excl_sched), excl_sched);
 
   EXPECT_LT(with_pairs.makespan_seconds, exclusive.makespan_seconds);
 }
@@ -100,12 +100,12 @@ TEST(Cluster, UnprofiledJobTriggersProfileRunThenPairs) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
 
-  std::vector<Job> jobs = mixed_job_set();
+  std::vector<Job> jobs = mixed_job_set(scheduler);
   // Two instances of an app the allocator has never profiled.
   for (int i = 0; i < 2; ++i) {
     Job job;
     job.id = 100 + i;
-    job.app = "unseen-app";
+    job.app_id = scheduler.intern_app("unseen-app");
     job.kernel = &test::shared_registry().by_name("lavaMD").kernel;
     job.work_units = 150.0;
     job.submit_time = 0.0;
@@ -126,7 +126,7 @@ TEST(Cluster, UnprofiledJobTriggersProfileRunThenPairs) {
 TEST(Cluster, StaggeredSubmitTimesRespected) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
-  std::vector<Job> jobs = mixed_job_set();
+  std::vector<Job> jobs = mixed_job_set(scheduler);
   jobs[3].submit_time = 1000.0;  // far in the future
   ClusterConfig config;
   config.node_count = 4;
@@ -148,7 +148,7 @@ TEST(Cluster, EnergyAccountingSumsNodes) {
   ClusterConfig config;
   config.node_count = 2;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   double sum = 0.0;
   for (const auto& node : cluster.nodes()) sum += node->energy_joules();
   EXPECT_NEAR(report.total_energy_joules, sum, 1e-9);
@@ -169,7 +169,7 @@ TEST(Cluster, PowerBudgetCapsConcurrentDispatches) {
   config.node_count = 2;
   config.total_power_budget_watts = 375.0;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.jobs_completed, 8u);
   EXPECT_LE(report.peak_cap_sum_watts, 375.0 + 1e-9);
   EXPECT_GT(report.peak_cap_sum_watts, 0.0);
@@ -185,7 +185,7 @@ TEST(Cluster, TightBudgetSerializesNodes) {
   config.node_count = 2;
   config.total_power_budget_watts = 250.0;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.jobs_completed, 8u);
   EXPECT_LE(report.peak_cap_sum_watts, 250.0 + 1e-9);
 }
@@ -198,7 +198,7 @@ TEST(Cluster, BudgetAppliesToExclusiveBaselineToo) {
   config.enable_coscheduling = false;
   config.total_power_budget_watts = 300.0;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.jobs_completed, 8u);
   EXPECT_EQ(report.pair_dispatches, 0u);
   EXPECT_LE(report.peak_cap_sum_watts, 300.0 + 1e-9);
@@ -212,13 +212,13 @@ TEST(Cluster, LargerBudgetNeverSlowsTheQueue) {
   config.total_power_budget_watts = 300.0;
   Cluster small(config);
   const double t_small =
-      small.run(mixed_job_set(), sched_small).makespan_seconds;
+      small.run(mixed_job_set(sched_small), sched_small).makespan_seconds;
 
   auto allocator_big = make_allocator();
   CoScheduler sched_big(allocator_big, core::Policy::problem1(250.0, 0.2));
   config.total_power_budget_watts = 500.0;
   Cluster big(config);
-  const double t_big = big.run(mixed_job_set(), sched_big).makespan_seconds;
+  const double t_big = big.run(mixed_job_set(sched_big), sched_big).makespan_seconds;
   EXPECT_LE(t_big, t_small * 1.001);
 }
 
@@ -231,14 +231,14 @@ TEST(Cluster, IndexedCoreMatchesExactCoreSchedule) {
   ClusterConfig config;
   config.node_count = 3;
   Cluster exact(config);
-  const ClusterReport a = exact.run(mixed_job_set(), sched_exact);
+  const ClusterReport a = exact.run(mixed_job_set(sched_exact), sched_exact);
 
   auto allocator_indexed = make_allocator();
   CoScheduler sched_indexed(allocator_indexed,
                             core::Policy::problem1(250.0, 0.2));
   config.event_core = EventCore::Indexed;
   Cluster indexed(config);
-  const ClusterReport b = indexed.run(mixed_job_set(), sched_indexed);
+  const ClusterReport b = indexed.run(mixed_job_set(sched_indexed), sched_indexed);
 
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
   EXPECT_EQ(a.pair_dispatches, b.pair_dispatches);
@@ -266,19 +266,23 @@ TEST(Cluster, IndexedCoreEnergyAccountsIdleDrawToSessionEnd) {
   // them up).
   auto allocator_exact = make_allocator();
   CoScheduler sched_exact(allocator_exact, core::Policy::problem1(250.0, 0.2));
-  std::vector<Job> jobs = mixed_job_set();
-  jobs[5].submit_time = 2000.0;
+  const auto late_job_set = [](CoScheduler& scheduler) {
+    std::vector<Job> jobs = mixed_job_set(scheduler);
+    jobs[5].submit_time = 2000.0;
+    return jobs;
+  };
   ClusterConfig config;
   config.node_count = 4;
   Cluster exact(config);
-  const ClusterReport a = exact.run(jobs, sched_exact);
+  const ClusterReport a = exact.run(late_job_set(sched_exact), sched_exact);
 
   auto allocator_indexed = make_allocator();
   CoScheduler sched_indexed(allocator_indexed,
                             core::Policy::problem1(250.0, 0.2));
   config.event_core = EventCore::Indexed;
   Cluster indexed(config);
-  const ClusterReport b = indexed.run(jobs, sched_indexed);
+  const ClusterReport b =
+      indexed.run(late_job_set(sched_indexed), sched_indexed);
 
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
   EXPECT_NEAR(a.total_energy_joules, b.total_energy_joules,
@@ -302,7 +306,7 @@ TEST(Cluster, IndexedCoreMidSessionReportMatchesExact) {
     config.event_core = core;
     Cluster cluster(config);
     cluster.begin_session(scheduler);
-    for (Job& job : mixed_job_set()) cluster.submit(std::move(job));
+    for (Job& job : mixed_job_set(scheduler)) cluster.submit(std::move(job));
     cluster.dispatch(scheduler, 0.0);
     cluster.advance_to(5.0, scheduler);  // before the first completion
     return cluster.report(scheduler);
@@ -323,7 +327,7 @@ TEST(Cluster, JobStatCollectionCanBeDisabled) {
   config.node_count = 2;
   config.collect_job_stats = false;
   Cluster cluster(config);
-  const ClusterReport report = cluster.run(mixed_job_set(), scheduler);
+  const ClusterReport report = cluster.run(mixed_job_set(scheduler), scheduler);
   EXPECT_EQ(report.jobs_completed, 8u);
   EXPECT_TRUE(report.jobs.empty());
   // Aggregates still accumulate without the per-job vector.
@@ -337,7 +341,7 @@ TEST(Cluster, RunMemoCountersAreSessionDeltas) {
   Cluster cluster(config);
 
   CoScheduler first_scheduler(allocator, core::Policy::problem1(250.0, 0.2));
-  const ClusterReport first = cluster.run(mixed_job_set(), first_scheduler);
+  const ClusterReport first = cluster.run(mixed_job_set(first_scheduler), first_scheduler);
   // A nontrivial session pays its first physics solves into the memo and
   // serves the repeats from it.
   EXPECT_GT(first.run_memo_misses, 0u);
@@ -347,9 +351,9 @@ TEST(Cluster, RunMemoCountersAreSessionDeltas) {
   // begin_session cleared the memo, so the schedule re-pays the same solves
   // — and because the counters are session deltas, not lifetime totals, the
   // second report matches the first instead of doubling.
-  std::vector<Job> shifted = mixed_job_set();
-  for (Job& job : shifted) job.submit_time = first.makespan_seconds + 1.0;
   CoScheduler second_scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  std::vector<Job> shifted = mixed_job_set(second_scheduler);
+  for (Job& job : shifted) job.submit_time = first.makespan_seconds + 1.0;
   const ClusterReport second = cluster.run(std::move(shifted), second_scheduler);
   EXPECT_EQ(second.run_memo_misses, first.run_memo_misses);
   EXPECT_EQ(second.run_memo_hits, first.run_memo_hits);
@@ -362,7 +366,7 @@ TEST(Cluster, FailNodeKillsResidentsAndRecoverAccruesDowntime) {
   config.node_count = 2;
   Cluster cluster(config);
   cluster.begin_session(scheduler);
-  for (Job& job : mixed_job_set()) cluster.submit(std::move(job));
+  for (Job& job : mixed_job_set(scheduler)) cluster.submit(std::move(job));
   cluster.dispatch(scheduler, 0.0);
 
   // Crash node 0 at t=5 s: every job runs ~12 s, so nothing has completed
@@ -406,7 +410,7 @@ TEST(Cluster, DownNodeIsSkippedByDispatchAndStillDownAtReport) {
   cluster.fail_node(1, 0.0, scheduler, completed, killed);
   EXPECT_TRUE(killed.empty());
 
-  for (Job& job : mixed_job_set()) cluster.submit(std::move(job));
+  for (Job& job : mixed_job_set(scheduler)) cluster.submit(std::move(job));
   cluster.dispatch(scheduler, 0.0);
   double now = 0.0;
   for (int step = 1;
@@ -434,7 +438,7 @@ TEST(Cluster, ShedToBudgetPicksLowestPriorityNode) {
   config.enable_coscheduling = false;  // one job per node, order by priority
   Cluster cluster(config);
   cluster.begin_session(scheduler);
-  std::vector<Job> jobs = mixed_job_set();
+  std::vector<Job> jobs = mixed_job_set(scheduler);
   jobs.resize(2);
   jobs[0].priority = 5;  // dispatches first -> node 0
   jobs[1].priority = 1;  // -> node 1, the graceful-degradation victim
@@ -466,7 +470,7 @@ TEST(Cluster, BudgetBelowCheapestDispatchRejected) {
   config.node_count = 1;
   config.total_power_budget_watts = 100.0;  // grid floor is 150 W
   Cluster cluster(config);
-  EXPECT_THROW(cluster.run(mixed_job_set(), scheduler), ContractViolation);
+  EXPECT_THROW(cluster.run(mixed_job_set(scheduler), scheduler), ContractViolation);
 }
 
 }  // namespace

@@ -14,10 +14,11 @@ core::ResourcePowerAllocator make_allocator() {
       test::shared_chip(), test::shared_registry(), test::shared_pairs());
 }
 
-Job make_job(int id, const std::string& app, double submit = 0.0) {
+Job make_job(CoScheduler& scheduler, int id, const std::string& app,
+             double submit = 0.0) {
   Job job;
   job.id = id;
-  job.app = app;
+  job.app_id = scheduler.intern_app(app);
   job.kernel = &test::shared_registry().by_name(app).kernel;
   job.work_units = 100.0;
   job.submit_time = submit;
@@ -35,7 +36,7 @@ TEST(CoScheduler, FutureJobsNotDispatchedEarly) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  queue.push(make_job(0, "sgemm", /*submit=*/100.0));
+  queue.push(make_job(scheduler, 0, "sgemm", /*submit=*/100.0));
   EXPECT_FALSE(scheduler.next(queue, 0.0).has_value());
   EXPECT_TRUE(scheduler.next(queue, 100.0).has_value());
 }
@@ -45,34 +46,35 @@ TEST(CoScheduler, PairsHeadWithBestWindowPartner) {
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
   // igemm4 (TI) pairs much better with stream (MI) than with another GEMM.
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "tdgemm"));
-  queue.push(make_job(2, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "tdgemm"));
+  queue.push(make_job(scheduler, 2, "stream"));
 
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(plan->job2.has_value());
-  EXPECT_EQ(plan->job1.app, "igemm4");
-  EXPECT_EQ(plan->job2->app, "stream");
+  EXPECT_EQ(scheduler.app_name(plan->job1.app_id), "igemm4");
+  EXPECT_EQ(scheduler.app_name(plan->job2->app_id), "stream");
   EXPECT_TRUE(plan->allocation.feasible);
   EXPECT_EQ(queue.size(), 1u);  // tdgemm left behind
-  EXPECT_EQ(queue.front().app, "tdgemm");
+  EXPECT_EQ(scheduler.app_name(queue.front().app_id), "tdgemm");
 }
 
 TEST(CoScheduler, UnprofiledHeadGetsExclusiveProfileRun) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  Job mystery = make_job(0, "sgemm");
-  mystery.app = "mystery-app";  // no profile recorded under this name
+  Job mystery = make_job(scheduler, 0, "sgemm");
+  // No profile recorded under this name.
+  mystery.app_id = scheduler.intern_app("mystery-app");
   queue.push(mystery);
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 1, "stream"));
 
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->job2.has_value());
   EXPECT_TRUE(plan->profile_run);
-  EXPECT_EQ(plan->job1.app, "mystery-app");
+  EXPECT_EQ(scheduler.app_name(plan->job1.app_id), "mystery-app");
 }
 
 TEST(CoScheduler, RecordedProfileEnablesPairingNextTime) {
@@ -82,13 +84,13 @@ TEST(CoScheduler, RecordedProfileEnablesPairingNextTime) {
   // pairing threshold with a memory-intensive partner (the paper's TI-MI).
   const auto counters = prof::profile_run(
       test::shared_chip(), test::shared_registry().by_name("igemm4").kernel);
-  scheduler.record_profile("mystery-app", counters);
+  scheduler.record_profile(scheduler.intern_app("mystery-app"), counters);
 
   JobQueue queue;
-  Job mystery = make_job(0, "igemm4");
-  mystery.app = "mystery-app";
+  Job mystery = make_job(scheduler, 0, "igemm4");
+  mystery.app_id = scheduler.intern_app("mystery-app");
   queue.push(mystery);
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 1, "stream"));
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->job2.has_value());
@@ -98,7 +100,7 @@ TEST(CoScheduler, SingleReadyJobRunsExclusively) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  queue.push(make_job(0, "sgemm"));
+  queue.push(make_job(scheduler, 0, "sgemm"));
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->job2.has_value());
@@ -112,13 +114,13 @@ TEST(CoScheduler, WindowLimitsPartnerSearch) {
   tuning.pairing_window = 1;
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2), tuning);
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "tdgemm"));
-  queue.push(make_job(2, "stream"));  // out of the window
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "tdgemm"));
+  queue.push(make_job(scheduler, 2, "stream"));  // out of the window
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   if (plan->job2.has_value()) {
-    EXPECT_EQ(plan->job2->app, "tdgemm");
+    EXPECT_EQ(scheduler.app_name(plan->job2->app_id), "tdgemm");
   }
 }
 
@@ -129,8 +131,8 @@ TEST(CoScheduler, SpeedupThresholdForcesExclusive) {
   tuning.min_pair_speedup = 10.0;
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2), tuning);
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "stream"));
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->job2.has_value());
@@ -142,11 +144,11 @@ TEST(CoScheduler, DurationMismatchBlocksPairing) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  Job lhs = make_job(0, "igemm4");
+  Job lhs = make_job(scheduler, 0, "igemm4");
   lhs.solo_seconds_per_wu =
       test::shared_chip().baseline_seconds(*lhs.kernel);
   lhs.work_units = 2000.0;  // long
-  Job rhs = make_job(1, "stream");
+  Job rhs = make_job(scheduler, 1, "stream");
   rhs.solo_seconds_per_wu =
       test::shared_chip().baseline_seconds(*rhs.kernel);
   rhs.work_units = 10.0;  // very short
@@ -172,10 +174,10 @@ TEST(CoScheduler, InFlightProfileBlocksSecondInstance) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  Job first = make_job(0, "sgemm");
-  first.app = "mystery-app";
-  Job second = make_job(1, "sgemm");
-  second.app = "mystery-app";
+  Job first = make_job(scheduler, 0, "sgemm");
+  first.app_id = scheduler.intern_app("mystery-app");
+  Job second = make_job(scheduler, 1, "sgemm");
+  second.app_id = first.app_id;
   queue.push(first);
   queue.push(second);
 
@@ -187,7 +189,7 @@ TEST(CoScheduler, InFlightProfileBlocksSecondInstance) {
 
   const auto counters = prof::profile_run(
       test::shared_chip(), test::shared_registry().by_name("sgemm").kernel);
-  scheduler.record_profile("mystery-app", counters);
+  scheduler.record_profile(first.app_id, counters);
   const auto after = scheduler.next(queue, 0.0);
   ASSERT_TRUE(after.has_value());
   EXPECT_FALSE(after->profile_run);
@@ -197,8 +199,8 @@ TEST(CoScheduler, Problem2PlanCarriesChosenCap) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem2(0.2));
   JobQueue queue;
-  queue.push(make_job(0, "kmeans"));
-  queue.push(make_job(1, "needle"));
+  queue.push(make_job(scheduler, 0, "kmeans"));
+  queue.push(make_job(scheduler, 1, "needle"));
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(plan->job2.has_value());

@@ -25,10 +25,10 @@ core::ResourcePowerAllocator make_allocator() {
       test::shared_chip(), test::shared_registry(), test::shared_pairs());
 }
 
-Job make_job(int id, const std::string& app) {
+Job make_job(CoScheduler& scheduler, int id, const std::string& app) {
   Job job;
   job.id = id;
-  job.app = app;
+  job.app_id = scheduler.intern_app(app);
   job.kernel = &test::shared_registry().by_name(app).kernel;
   job.work_units = 100.0;
   return job;
@@ -231,21 +231,19 @@ TEST(CoSchedulerCache, RepeatedDispatchHitsTheCache) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "stream"));
   const auto first = scheduler.next(queue, 0.0);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(first->job2.has_value());
   EXPECT_EQ(scheduler.decision_cache().stats().hits, 0u);
   const std::size_t misses = scheduler.decision_cache().stats().misses;
   EXPECT_GT(misses, 0u);
-  // The scheduler interned the jobs it touched (the lazy string fallback).
-  EXPECT_NE(first->job1.app_id, kNoSymbol);
 
   // The same pair again: the allocator search is answered from the cache and
   // the plan is identical.
-  queue.push(make_job(2, "igemm4"));
-  queue.push(make_job(3, "stream"));
+  queue.push(make_job(scheduler, 2, "igemm4"));
+  queue.push(make_job(scheduler, 3, "stream"));
   const auto second = scheduler.next(queue, 0.0);
   ASSERT_TRUE(second.has_value());
   ASSERT_TRUE(second->job2.has_value());
@@ -254,60 +252,24 @@ TEST(CoSchedulerCache, RepeatedDispatchHitsTheCache) {
   expect_identical(second->allocation, first->allocation);
 }
 
-TEST(CoSchedulerCache, PreInternedJobsTakeTheSamePathAsStrings) {
-  // Jobs arriving with app_id already stamped (the SimEngine fast path) must
-  // produce the same plan and the same cache hit/miss trajectory as jobs
-  // that arrive with only the string.
-  auto string_allocator = make_allocator();
-  CoScheduler string_scheduler(string_allocator,
-                               core::Policy::problem1(230.0, 0.2));
-  JobQueue string_queue;
-  string_queue.push(make_job(0, "igemm4"));
-  string_queue.push(make_job(1, "stream"));
-  const auto from_strings = string_scheduler.next(string_queue, 0.0);
-
-  auto interned_allocator = make_allocator();
-  CoScheduler interned_scheduler(interned_allocator,
-                                 core::Policy::problem1(230.0, 0.2));
-  JobQueue interned_queue;
-  Job a = make_job(0, "igemm4");
-  a.app_id = interned_scheduler.intern_app(a.app);
-  Job b = make_job(1, "stream");
-  b.app_id = interned_scheduler.intern_app(b.app);
-  interned_queue.push(std::move(a));
-  interned_queue.push(std::move(b));
-  const auto from_ids = interned_scheduler.next(interned_queue, 0.0);
-
-  ASSERT_TRUE(from_strings.has_value());
-  ASSERT_TRUE(from_ids.has_value());
-  ASSERT_TRUE(from_strings->job2.has_value());
-  ASSERT_TRUE(from_ids->job2.has_value());
-  expect_identical(from_strings->allocation, from_ids->allocation);
-  EXPECT_EQ(from_strings->power_cap_watts, from_ids->power_cap_watts);
-  EXPECT_EQ(string_scheduler.decision_cache().stats().misses,
-            interned_scheduler.decision_cache().stats().misses);
-  EXPECT_EQ(string_scheduler.decision_cache().stats().hits,
-            interned_scheduler.decision_cache().stats().hits);
-}
-
 TEST(CoSchedulerCache, RecordProfileInvalidates) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "stream"));
   ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
   EXPECT_GT(scheduler.decision_cache().size(), 0u);
 
   const auto counters = prof::profile_run(
       test::shared_chip(), test::shared_registry().by_name("lud").kernel);
-  scheduler.record_profile("fresh-app", counters);
+  scheduler.record_profile(scheduler.intern_app("fresh-app"), counters);
   EXPECT_EQ(scheduler.decision_cache().size(), 0u);
   EXPECT_GT(scheduler.decision_cache().stats().invalidations, 0u);
 
   // Post-invalidation decisions still equal a fresh allocator search.
-  queue.push(make_job(2, "igemm4"));
-  queue.push(make_job(3, "stream"));
+  queue.push(make_job(scheduler, 2, "igemm4"));
+  queue.push(make_job(scheduler, 3, "stream"));
   const auto plan = scheduler.next(queue, 0.0);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(plan->job2.has_value());
@@ -325,16 +287,16 @@ TEST(CoSchedulerCache, BudgetCeilingWobbleStillHitsTheCache) {
   tuning.min_pair_speedup = 0.0;  // accept the pair so both jobs dequeue
   CoScheduler scheduler(allocator, core::Policy::problem2(0.2), tuning);
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "stream"));
   const auto first = scheduler.next(queue, 0.0, 251.3);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(first->job2.has_value());
   const std::size_t misses = scheduler.decision_cache().stats().misses;
   EXPECT_GT(misses, 0u);
 
-  queue.push(make_job(2, "igemm4"));
-  queue.push(make_job(3, "stream"));
+  queue.push(make_job(scheduler, 2, "igemm4"));
+  queue.push(make_job(scheduler, 3, "stream"));
   const auto plan = scheduler.next(queue, 0.0, 260.7);  // same admissible caps
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(plan->job2.has_value());
@@ -350,8 +312,8 @@ TEST(CoSchedulerCache, DirectAllocatorMutationIsDetectedByRevision) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
-  queue.push(make_job(0, "igemm4"));
-  queue.push(make_job(1, "stream"));
+  queue.push(make_job(scheduler, 0, "igemm4"));
+  queue.push(make_job(scheduler, 1, "stream"));
   ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
   EXPECT_GT(scheduler.decision_cache().size(), 0u);
 
@@ -360,8 +322,8 @@ TEST(CoSchedulerCache, DirectAllocatorMutationIsDetectedByRevision) {
   const auto counters = prof::profile_run(
       test::shared_chip(), test::shared_registry().by_name("lud").kernel);
   allocator.record_profile("side-channel-app", counters);
-  queue.push(make_job(2, "igemm4"));
-  queue.push(make_job(3, "stream"));
+  queue.push(make_job(scheduler, 2, "igemm4"));
+  queue.push(make_job(scheduler, 3, "stream"));
   ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
   EXPECT_GT(scheduler.decision_cache().stats().invalidations, 0u);
 }
@@ -400,8 +362,8 @@ TEST(CoSchedulerCapCurves, MemoPathMatchesAFreshSearchForEveryRegistryPair) {
         for (const double ceiling : ceilings) {
           SCOPED_TRACE(app1 + "+" + app2 + " @ " + std::to_string(ceiling));
           queue.clear();
-          queue.push(make_job(0, app1));
-          queue.push(make_job(1, app2));
+          queue.push(make_job(scheduler, 0, app1));
+          queue.push(make_job(scheduler, 1, app2));
           const auto plan = scheduler.next(queue, 0.0, ceiling);
           if (ceiling < levels.front()) {
             EXPECT_FALSE(plan.has_value());  // budget below every cap
@@ -436,8 +398,8 @@ TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
   JobQueue queue;
   const auto dispatch = [&](double ceiling) {
     queue.clear();
-    queue.push(make_job(0, "igemm4"));
-    queue.push(make_job(1, "stream"));
+    queue.push(make_job(scheduler, 0, "igemm4"));
+    queue.push(make_job(scheduler, 1, "stream"));
     return scheduler.next(queue, 0.0, ceiling);
   };
   const auto profile_of = [](const char* app) {
@@ -451,7 +413,8 @@ TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
   ASSERT_TRUE(dispatch(std::numeric_limits<double>::infinity()).has_value());
   EXPECT_EQ(scheduler.cap_curves(), 1u);
 
-  scheduler.record_profile("fresh-app", profile_of("lud"));
+  scheduler.record_profile(scheduler.intern_app("fresh-app"),
+                           profile_of("lud"));
   EXPECT_EQ(scheduler.cap_curves(), 0u);
 
   // Rebuild the curve, then re-profile a pair member behind the scheduler's

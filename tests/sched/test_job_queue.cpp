@@ -9,17 +9,25 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
 namespace migopt::sched {
 namespace {
 
+/// The queue never resolves app ids, so the fixtures intern against a
+/// table of their own.
+AppId app_id_of(const std::string& app) {
+  static SymbolTable apps;
+  return apps.intern(app);
+}
+
 Job make_job(int id, const std::string& app, double submit = 0.0,
              int priority = 0) {
   Job job;
   job.id = id;
-  job.app = app;
+  job.app_id = app_id_of(app);
   job.kernel = &test::shared_registry().by_name(app).kernel;
   job.work_units = 100.0;
   job.submit_time = submit;
@@ -70,6 +78,10 @@ TEST(JobQueue, InvalidJobRejected) {
   Job bad = make_job(0, "sgemm");
   bad.work_units = 0.0;
   EXPECT_THROW(queue.push(bad), ContractViolation);
+  Job uninterned = make_job(1, "sgemm");
+  uninterned.app_id = kNoSymbol;
+  EXPECT_THROW(queue.push(uninterned), ContractViolation);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(JobQueue, HigherPriorityOvertakesLowerButNotEqual) {
@@ -230,7 +242,6 @@ TEST(JobQueue, ReadyCountCacheMatchesBruteForceUnderRandomOps) {
 
 void expect_jobs_identical(const Job& a, const Job& b) {
   EXPECT_EQ(a.id, b.id);
-  EXPECT_EQ(a.app, b.app);
   EXPECT_EQ(a.app_id, b.app_id);
   EXPECT_EQ(a.tenant_id, b.tenant_id);
   EXPECT_EQ(a.kernel, b.kernel);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "common/interner.hpp"
 #include "test_util.hpp"
 
 namespace migopt::sched {
@@ -12,10 +13,17 @@ namespace {
 
 using gpusim::MemOption;
 
+/// Nodes never resolve app ids, so the fixtures intern against a table of
+/// their own.
+AppId app_id_of(const std::string& app) {
+  static SymbolTable apps;
+  return apps.intern(app);
+}
+
 Job make_job(int id, const std::string& app, double work_units) {
   Job job;
   job.id = id;
-  job.app = app;
+  job.app_id = app_id_of(app);
   job.kernel = &test::shared_registry().by_name(app).kernel;
   job.work_units = work_units;
   return job;

@@ -236,9 +236,9 @@ TEST(FaultReplay, FaultedReplayIsDeterministic) {
 }
 
 TEST(FaultReplay, FaultedCoresAgreeOnTheSchedule) {
-  // The same fault plan through all three event cores: fault application
-  // rides the same (time, node-index) total order, so the schedules — and
-  // every fault counter — must agree exactly.
+  // The same fault plan through both event cores: fault application rides
+  // the same (time, node-index) total order, so the schedules — and every
+  // fault counter — must agree exactly.
   const Trace trace = poisson_trace(150, 47);
   fault::FaultConfig config;
   config.transient_failure_rate = 0.1;
@@ -262,20 +262,16 @@ TEST(FaultReplay, FaultedCoresAgreeOnTheSchedule) {
   };
   const SimReport exact = run_core(sched::EventCore::Exact);
   const SimReport indexed = run_core(sched::EventCore::Indexed);
-  const SimReport calendar = run_core(sched::EventCore::Calendar);
   expect_same_schedule(exact, indexed);
-  expect_same_schedule(exact, calendar);
-  for (const SimReport* other : {&indexed, &calendar}) {
-    EXPECT_EQ(exact.faults.failures_injected, other->faults.failures_injected);
-    EXPECT_EQ(exact.faults.retries, other->faults.retries);
-    EXPECT_EQ(exact.faults.jobs_killed, other->faults.jobs_killed);
-    EXPECT_EQ(exact.faults.jobs_shed, other->faults.jobs_shed);
-    EXPECT_EQ(exact.faults.jobs_abandoned, other->faults.jobs_abandoned);
-    EXPECT_EQ(exact.faults.node_downtime_seconds,
-              other->faults.node_downtime_seconds);
-    EXPECT_EQ(exact.faults.backoff_delay_seconds,
-              other->faults.backoff_delay_seconds);
-  }
+  EXPECT_EQ(exact.faults.failures_injected, indexed.faults.failures_injected);
+  EXPECT_EQ(exact.faults.retries, indexed.faults.retries);
+  EXPECT_EQ(exact.faults.jobs_killed, indexed.faults.jobs_killed);
+  EXPECT_EQ(exact.faults.jobs_shed, indexed.faults.jobs_shed);
+  EXPECT_EQ(exact.faults.jobs_abandoned, indexed.faults.jobs_abandoned);
+  EXPECT_EQ(exact.faults.node_downtime_seconds,
+            indexed.faults.node_downtime_seconds);
+  EXPECT_EQ(exact.faults.backoff_delay_seconds,
+            indexed.faults.backoff_delay_seconds);
 }
 
 TEST(FaultReplay, GuardDiagnosticsNameJobRetriesAndDownNodes) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -27,6 +28,36 @@ FleetConfig small_fleet(int clusters, int nodes) {
   config.cluster_count = clusters;
   config.cluster.node_count = nodes;
   return config;
+}
+
+/// A RoutePlan materialized into standalone per-cluster shard traces (event
+/// copies). Replay iterates the plan in place; the materialized shards are
+/// the oracle the zero-copy replay is held against, and the plain Traces
+/// they produce make the routing tests easy to state.
+struct ShardedTrace {
+  std::vector<Trace> shards;  ///< one per cluster, time order preserved
+  RouterStats router;
+};
+
+ShardedTrace route(const FleetEngine& engine, const Trace& fleet_trace) {
+  const RoutePlan plan = engine.plan(fleet_trace);
+  ShardedTrace sharded;
+  sharded.router = plan.router;
+  sharded.shards.resize(plan.steps.size());
+  for (std::size_t c = 0; c < plan.steps.size(); ++c) {
+    Trace& shard = sharded.shards[c];
+    shard.events.reserve(plan.steps[c].size());
+    for (const std::uint32_t step : plan.steps[c]) {
+      if (step & RoutedShard::kShareBit) {
+        const BudgetShare& share = plan.shares[step & ~RoutedShard::kShareBit];
+        shard.events.push_back(
+            TraceEvent::budget(share.time_seconds, share.watts));
+      } else {
+        shard.events.push_back(fleet_trace.events[step]);
+      }
+    }
+  }
+  return sharded;
 }
 
 // ---------------------------------------------------------------------------
@@ -143,13 +174,13 @@ TEST(FleetRouter, PolicyAndSplitNamesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// FleetEngine::route — the admission pre-pass as pure data.
+// FleetEngine::plan — the admission pre-pass as pure data.
 // ---------------------------------------------------------------------------
 
 TEST(FleetEngine, RoutePartitionsEveryArrivalExactlyOnce) {
   const Trace trace = fleet_trace(300, 21);
   FleetEngine engine(small_fleet(4, 2));
-  const auto sharded = engine.route(trace);
+  const auto sharded = route(engine, trace);
   ASSERT_EQ(sharded.shards.size(), 4u);
   std::size_t routed = 0;
   for (const Trace& shard : sharded.shards) {
@@ -174,7 +205,7 @@ TEST(FleetEngine, FleetBudgetEventsFanOutToEveryShard) {
   FleetConfig config = small_fleet(2, 1);
   config.router.policy = RouterPolicy::RoundRobin;
   FleetEngine engine(config);
-  const auto sharded = engine.route(trace);
+  const auto sharded = route(engine, trace);
   // Only the 400 W contract is *split*; the lift is a passthrough, not a
   // fan-out of shares.
   EXPECT_EQ(sharded.router.budget_splits, 1u);
@@ -193,7 +224,7 @@ TEST(FleetEngine, ConfiguredFleetBudgetIsPrependedAtTimeZero) {
   FleetConfig config = small_fleet(4, 1);
   config.fleet_power_budget_watts = 800.0;
   FleetEngine engine(config);
-  const auto sharded = engine.route(trace);
+  const auto sharded = route(engine, trace);
   for (const Trace& shard : sharded.shards) {
     ASSERT_FALSE(shard.events.empty());
     EXPECT_EQ(shard.events.front().kind, EventKind::PowerBudget);
@@ -206,11 +237,11 @@ TEST(FleetEngine, DecisionLatencyIsRecordedOnlyWhenRequested) {
   const Trace trace = fleet_trace(200, 9);
   FleetConfig config = small_fleet(4, 2);
   FleetEngine cold(config);
-  EXPECT_EQ(cold.route(trace).router.latency_samples, 0u);
+  EXPECT_EQ(route(cold, trace).router.latency_samples, 0u);
 
   config.measure_decision_latency = true;
   FleetEngine timed(config);
-  const auto sharded = timed.route(trace);
+  const auto sharded = route(timed, trace);
   EXPECT_EQ(sharded.router.latency_samples, trace.job_count());
   EXPECT_GE(sharded.router.decision_p99_ns, sharded.router.decision_p50_ns);
   EXPECT_GT(sharded.router.decision_mean_ns, 0.0);
@@ -366,9 +397,7 @@ TEST(FleetEngine, RunMemoCountersSurfaceInTheMergedReport) {
 // ---------------------------------------------------------------------------
 // Zero-copy routed replay — iterating the RoutePlan's index spans over the
 // shared fleet trace must be bit-identical to replaying the materialized
-// per-shard traces route() builds from the same routing walk. This is the
-// equivalence the FleetEngine header promises; route() exists largely so
-// this test can hold it to account.
+// per-shard traces route() builds from the same routing walk.
 // ---------------------------------------------------------------------------
 
 void expect_sim_reports_bit_identical(const SimReport& a, const SimReport& b) {
@@ -414,7 +443,7 @@ TEST(FleetEngine, ZeroCopyPlanReplaysIdenticalToMaterializedShards) {
     }
     const FleetEngine engine(config);
     const RoutePlan plan = engine.plan(trace);
-    const auto sharded = engine.route(trace);
+    const auto sharded = route(engine, trace);
     ASSERT_EQ(sharded.shards.size(), plan.steps.size());
 
     // Rebuild exactly the per-shard session FleetEngine::replay constructs:

@@ -1,4 +1,4 @@
-// The scaling refactor's regression pins, in three layers:
+// The scaling refactor's regression pins, in two layers:
 //
 //  1. Baseline pin — replaying the PR 4 bench regimes (10k jobs, 8 nodes,
 //     seed 7) through the default configuration must reproduce the
@@ -6,10 +6,7 @@
 //     last bit of every double: the Exact event core keeps the original
 //     floating-point step partitioning and interning must not perturb a
 //     single scheduling decision.
-//  2. String ↔ interned path — the same trace replayed with
-//     SimConfig::intern_symbols off (jobs submitted with only strings, the
-//     scheduler interning lazily) must produce a bit-identical report.
-//  3. Exact ↔ Indexed event core — the Indexed core must make the same
+//  2. Exact ↔ Indexed event core — the Indexed core must make the same
 //     schedule (all counts identical); its continuous outputs agree to
 //     rounding (different step partitioning of the same integral).
 #include <gtest/gtest.h>
@@ -36,8 +33,8 @@ constexpr std::uint64_t kSeed = 7;
 
 /// Mirror of the ext_trace_replay bench environment for one regime.
 SimReport run_regime(ReplayRegime regime, std::size_t cache_capacity,
-                     bool intern_symbols, sched::EventCore core,
-                     std::uint64_t seed = kSeed, std::size_t jobs = kJobs) {
+                     sched::EventCore core, std::uint64_t seed = kSeed,
+                     std::size_t jobs = kJobs) {
   gpusim::GpuChip chip;
   const wl::WorkloadRegistry registry(chip.arch());
   auto allocator =
@@ -54,42 +51,9 @@ SimReport run_regime(ReplayRegime regime, std::size_t cache_capacity,
 
   SimConfig sim_config;
   sim_config.max_sim_seconds = 1.0e8;
-  sim_config.intern_symbols = intern_symbols;
   return SimEngine(sim_config)
       .replay(make_regime_trace(regime, jobs, kNodes, seed, registry.names()),
               registry, cluster, scheduler);
-}
-
-void expect_reports_bit_identical(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
-  EXPECT_EQ(a.budget_events_applied, b.budget_events_applied);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  EXPECT_EQ(a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
-  EXPECT_EQ(a.max_queue_wait_seconds, b.max_queue_wait_seconds);
-  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
-  EXPECT_EQ(a.jobs_per_hour, b.jobs_per_hour);
-  EXPECT_EQ(a.cluster.makespan_seconds, b.cluster.makespan_seconds);
-  EXPECT_EQ(a.cluster.total_energy_joules, b.cluster.total_energy_joules);
-  EXPECT_EQ(a.cluster.jobs_completed, b.cluster.jobs_completed);
-  EXPECT_EQ(a.cluster.pair_dispatches, b.cluster.pair_dispatches);
-  EXPECT_EQ(a.cluster.exclusive_dispatches, b.cluster.exclusive_dispatches);
-  EXPECT_EQ(a.cluster.profile_runs, b.cluster.profile_runs);
-  EXPECT_EQ(a.cluster.decision_cache_hits, b.cluster.decision_cache_hits);
-  EXPECT_EQ(a.cluster.decision_cache_misses, b.cluster.decision_cache_misses);
-  EXPECT_EQ(a.cluster.decision_cache_evictions,
-            b.cluster.decision_cache_evictions);
-  EXPECT_EQ(a.cluster.mean_turnaround, b.cluster.mean_turnaround);
-  EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
-    EXPECT_EQ(a.tenants[i].jobs_submitted, b.tenants[i].jobs_submitted);
-    EXPECT_EQ(a.tenants[i].jobs_completed, b.tenants[i].jobs_completed);
-    EXPECT_EQ(a.tenants[i].mean_queue_wait_seconds,
-              b.tenants[i].mean_queue_wait_seconds);
-    EXPECT_EQ(a.tenants[i].mean_slowdown, b.tenants[i].mean_slowdown);
-  }
 }
 
 void expect_same_schedule(const SimReport& a, const SimReport& b) {
@@ -214,91 +178,73 @@ void expect_matches_baseline(const SimReport& sim, const std::string& title) {
 }
 
 TEST(ReplayEquivalence, PoissonRegimePinsBaselineAndBothPaths) {
-  const SimReport interned = run_regime(ReplayRegime::Poisson, 0, true,
-                                        sched::EventCore::Exact);
-  expect_matches_baseline(interned, "poisson 10k jobs");
+  const SimReport exact =
+      run_regime(ReplayRegime::Poisson, 0, sched::EventCore::Exact);
+  expect_matches_baseline(exact, "poisson 10k jobs");
 
-  const SimReport strings = run_regime(ReplayRegime::Poisson, 0, false,
-                                       sched::EventCore::Exact);
-  expect_reports_bit_identical(interned, strings);
-
-  const SimReport indexed = run_regime(ReplayRegime::Poisson, 0, true,
-                                       sched::EventCore::Indexed);
-  expect_same_schedule(interned, indexed);
+  const SimReport indexed =
+      run_regime(ReplayRegime::Poisson, 0, sched::EventCore::Indexed);
+  expect_same_schedule(exact, indexed);
 }
 
 TEST(ReplayEquivalence, CachePressureRegimePinsBaselineAndBothPaths) {
   // 48-entry cache: the LRU eviction sequence under interned keys must
-  // reproduce the string-keyed baseline eviction for eviction.
-  const SimReport interned = run_regime(ReplayRegime::Poisson, 48, true,
-                                        sched::EventCore::Exact);
-  expect_matches_baseline(interned, "poisson 10k jobs, 48-entry cache");
+  // reproduce the baseline eviction for eviction.
+  const SimReport exact =
+      run_regime(ReplayRegime::Poisson, 48, sched::EventCore::Exact);
+  expect_matches_baseline(exact, "poisson 10k jobs, 48-entry cache");
 
-  const SimReport strings = run_regime(ReplayRegime::Poisson, 48, false,
-                                       sched::EventCore::Exact);
-  expect_reports_bit_identical(interned, strings);
-
-  const SimReport indexed = run_regime(ReplayRegime::Poisson, 48, true,
-                                       sched::EventCore::Indexed);
-  expect_same_schedule(interned, indexed);
+  const SimReport indexed =
+      run_regime(ReplayRegime::Poisson, 48, sched::EventCore::Indexed);
+  expect_same_schedule(exact, indexed);
 }
 
 TEST(ReplayEquivalence, BudgetWalkRegimePinsBaselineAndIndexedCore) {
   // The budget walk exercises the incremental busy-cap accounting: the
   // index-ordered busy-set sum must reproduce the all-node scan bit-exactly.
-  const SimReport interned = run_regime(ReplayRegime::BudgetWalk, 0, true,
-                                        sched::EventCore::Exact);
-  expect_matches_baseline(interned, "budget-walk 10k jobs");
+  const SimReport exact =
+      run_regime(ReplayRegime::BudgetWalk, 0, sched::EventCore::Exact);
+  expect_matches_baseline(exact, "budget-walk 10k jobs");
 
-  const SimReport indexed = run_regime(ReplayRegime::BudgetWalk, 0, true,
-                                       sched::EventCore::Indexed);
-  expect_same_schedule(interned, indexed);
+  const SimReport indexed =
+      run_regime(ReplayRegime::BudgetWalk, 0, sched::EventCore::Indexed);
+  expect_same_schedule(exact, indexed);
 }
 
-// ---------------------------------------------------------------------------
-// Calendar event core — the timer-wheel completion queue must be a drop-in
-// replacement for the Indexed heap: same lazy catch-up, same pop order, so
-// bit-identical reports; and the usual same-schedule relation against Exact.
-// ---------------------------------------------------------------------------
-
-TEST(ReplayEquivalence, CalendarCoreMatchesIndexedAndExactThreeWay) {
-  for (const ReplayRegime regime :
-       {ReplayRegime::Poisson, ReplayRegime::Bursty, ReplayRegime::BudgetWalk}) {
-    const SimReport exact =
-        run_regime(regime, 0, true, sched::EventCore::Exact);
-    const SimReport indexed =
-        run_regime(regime, 0, true, sched::EventCore::Indexed);
-    const SimReport calendar =
-        run_regime(regime, 0, true, sched::EventCore::Calendar);
-    // Calendar and Indexed share the lazy catch-up stepping exactly — every
-    // double must agree to the last bit, not just the schedule.
-    expect_reports_bit_identical(indexed, calendar);
-    expect_same_schedule(exact, calendar);
-  }
+TEST(ReplayEquivalence, BurstyRegimeIndexedCoreMatchesExact) {
+  // Bursts pile completions onto shared instants: equal-time completions
+  // must drain in node-index order under the heap exactly as the node scan
+  // drains them.
+  const SimReport exact =
+      run_regime(ReplayRegime::Bursty, 0, sched::EventCore::Exact);
+  const SimReport indexed =
+      run_regime(ReplayRegime::Bursty, 0, sched::EventCore::Indexed);
+  expect_same_schedule(exact, indexed);
 }
 
-TEST(ReplayEquivalence, CalendarCoreHoldsOverRandomizedTraces) {
+TEST(ReplayEquivalence, IndexedCoreHoldsOverRandomizedTraces) {
   // Randomized arrival patterns (fresh seed per round, smaller traces so the
-  // sweep stays fast) — the wheel's bucket boundaries land differently every
-  // time; stale-entry skipping and wrap-around must never change a decision.
+  // sweep stays fast): stale heap entries and idle catch-up must never
+  // change a decision.
   for (const std::uint64_t seed : {101u, 202u, 303u, 404u}) {
-    const SimReport indexed = run_regime(ReplayRegime::Bursty, 0, true,
+    SCOPED_TRACE(seed);
+    const SimReport exact = run_regime(ReplayRegime::Bursty, 0,
+                                       sched::EventCore::Exact, seed,
+                                       /*jobs=*/2000);
+    const SimReport indexed = run_regime(ReplayRegime::Bursty, 0,
                                          sched::EventCore::Indexed, seed,
                                          /*jobs=*/2000);
-    const SimReport calendar = run_regime(ReplayRegime::Bursty, 0, true,
-                                          sched::EventCore::Calendar, seed,
-                                          /*jobs=*/2000);
-    expect_reports_bit_identical(indexed, calendar);
+    expect_same_schedule(exact, indexed);
   }
   // Cache pressure changes the dispatch sequence; the equivalence must not
   // depend on a cold, never-evicting cache.
-  const SimReport indexed = run_regime(ReplayRegime::Poisson, 48, true,
+  const SimReport exact = run_regime(ReplayRegime::Poisson, 48,
+                                     sched::EventCore::Exact, 11,
+                                     /*jobs=*/2000);
+  const SimReport indexed = run_regime(ReplayRegime::Poisson, 48,
                                        sched::EventCore::Indexed, 11,
                                        /*jobs=*/2000);
-  const SimReport calendar = run_regime(ReplayRegime::Poisson, 48, true,
-                                        sched::EventCore::Calendar, 11,
-                                        /*jobs=*/2000);
-  expect_reports_bit_identical(indexed, calendar);
+  expect_same_schedule(exact, indexed);
 }
 
 }  // namespace

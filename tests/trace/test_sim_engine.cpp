@@ -95,7 +95,7 @@ TEST(SimEngine, MatchesBatchClusterRunOnArrivalOnlyTraces) {
   for (const TraceEvent& event : trace.events) {
     sched::Job job;
     job.id = id++;
-    job.app = event.app;
+    job.app_id = scheduler.intern_app(event.app);
     job.kernel = &test::shared_registry().by_name(event.app).kernel;
     job.solo_seconds_per_wu =
         test::shared_chip().baseline_seconds(*job.kernel);
