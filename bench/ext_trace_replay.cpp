@@ -6,10 +6,9 @@
 // sustained load: 10k-job seeded synthetic traces (Poisson, bursty/diurnal,
 // and Poisson under a random-walk power budget) are replayed through
 // sched::Cluster + CoScheduler by trace::SimEngine, reporting queueing
-// behavior, per-tenant fairness, and the DecisionCache hit/miss/eviction
-// profile under load. A fourth section replays the Poisson trace against a
-// deliberately tiny decision cache, so the LRU eviction path shows up in
-// the numbers instead of only in unit tests.
+// behavior, per-tenant fairness, and the scheduler's decision-table hit
+// rate under load (cache_evictions stays in the summaries and reads 0: the
+// table never evicts).
 //
 // Everything is deterministic (one seed, no wall-clock), so every summary
 // is an exact regression gate; sections are assembled per-regime into
@@ -49,8 +48,6 @@ struct Regime {
   const char* name;
   const char* blurb;
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
-  /// 0 = scheduler default (generous); >0 = forced tiny cache.
-  std::size_t cache_capacity = 0;
   std::size_t jobs = kJobs;
   int nodes = kNodes;
   sched::EventCore event_core = sched::EventCore::Exact;
@@ -83,11 +80,7 @@ RegimeOutcome run_regime(const Regime& regime) {
   const wl::WorkloadRegistry registry(chip.arch());
   auto allocator =
       core::ResourcePowerAllocator::train(chip, registry, wl::table8_pairs());
-  sched::SchedulerTuning tuning;
-  if (regime.cache_capacity > 0)
-    tuning.decision_cache_capacity = regime.cache_capacity;
-  sched::CoScheduler scheduler(allocator, trace::regime_policy(regime.preset),
-                               tuning);
+  sched::CoScheduler scheduler(allocator, trace::regime_policy(regime.preset));
 
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = regime.nodes;
@@ -333,14 +326,12 @@ report::ScenarioResult run(const report::RunContext& ctx) {
        trace::ReplayRegime::Bursty},
       {"budget-walk 10k jobs", "random-walk cluster power budget",
        trace::ReplayRegime::BudgetWalk},
-      {"poisson 10k jobs, 48-entry cache", "LRU pressure on the DecisionCache",
-       trace::ReplayRegime::Poisson, 48},
       mega,
       mega_profiled,
       mega_obs,
   };
-  const std::size_t mega_index = 4;
-  const std::size_t mega_obs_index = 6;
+  const std::size_t mega_index = 3;
+  const std::size_t mega_obs_index = 5;
 
   std::vector<RegimeOutcome> outcomes(regimes.size());
   ctx.parallel_for(regimes.size(),
@@ -366,9 +357,10 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       "Reading: poisson holds ~85% utilization with single-digit waits; the\n"
       "bursty crest saturates the cluster and the trough drains it; the\n"
       "budget walk throttles dispatch whenever the contract dips (Problem 2\n"
-      "re-picks caps under the moving ceiling). The 48-entry cache run pays\n"
-      "evictions and a lower hit rate for the same schedule — the cost of\n"
-      "undersizing the DecisionCache under multi-tenant load. The mega\n"
+      "re-picks caps under the moving ceiling). cache_hit_rate is the share\n"
+      "of pairing probes the scheduler's decision table answered from a cell\n"
+      "served since the last profile change; the table never evicts, so\n"
+      "cache_evictions reads 0. The mega\n"
       "regime replays a million-job trace on 64 nodes through the Indexed\n"
       "event core (interned symbols, completion heap, O(1) bookkeeping);\n"
       "its summaries are deterministic while the wall-clock throughput row\n"

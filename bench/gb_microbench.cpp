@@ -229,8 +229,8 @@ void BM_OptimizerExhaustiveLargeSynthetic(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerExhaustiveLargeSynthetic);
 
-// A warm-cache scheduler dispatch: the pairing-window search is answered by
-// the DecisionCache instead of re-running the exhaustive search.
+// A warm-table scheduler dispatch: the pairing-window search is answered by
+// the scheduler's decision table instead of re-running the exhaustive search.
 void BM_SchedulerCachedDispatch(benchmark::State& state) {
   const auto& env = report::Environment::get();
   static core::ResourcePowerAllocator allocator(
@@ -273,7 +273,8 @@ void BM_SymbolTableInternHit(benchmark::State& state) {
 BENCHMARK(BM_SymbolTableInternHit);
 
 // FlatMap vs std::unordered_map on the access shapes of the migrated
-// hot-path tables (RunMemo, DecisionCache, SymbolTable, ProfileDb):
+// hot-path tables (RunMemo, SymbolTable, ProfileDb; the retired LRU
+// decision cache also sat on FlatMap):
 // resident-key probes (hit), absent-key probes (miss), and erase+insert
 // churn at a standing size. Both containers get the same trivial hash over
 // pre-randomized 64-bit keys; FlatMap applies its hash_mix seeding on top,
@@ -334,7 +335,7 @@ void map_miss_benchmark(benchmark::State& state) {
 // Sliding window of kMapEntries resident keys over a 2x key ring: every
 // iteration erases the oldest key and inserts a fresh one, so the table
 // sits at a constant load while slots/buckets recycle continuously (the
-// RunMemo-across-sessions and DecisionCache-at-capacity shape).
+// RunMemo-across-sessions shape, and that of an LRU cache at capacity).
 template <typename Map>
 void map_churn_benchmark(benchmark::State& state) {
   const auto keys = bench_map_keys(17, 2 * kMapEntries);
@@ -379,9 +380,9 @@ void BM_UnorderedMapChurn(benchmark::State& state) {
 BENCHMARK(BM_UnorderedMapChurn);
 
 // One batched dispatch of a 16-job ready burst onto an idle 8-node cluster:
-// batch-context setup (one cache/profile sync per batch), the probe loop,
-// and budget arithmetic — the per-burst cost the replay loop pays, with the
-// DecisionCache warm across iterations as it is mid-replay.
+// batch-context setup (one decision-table/profile sync per batch), the
+// probe loop, and budget arithmetic — the per-burst cost the replay loop
+// pays, with the decision table warm across iterations as it is mid-replay.
 void BM_DispatchBatch(benchmark::State& state) {
   const auto& env = report::Environment::get();
   static core::ResourcePowerAllocator allocator(
@@ -592,10 +593,10 @@ void BM_JobQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_JobQueueChurn)->Arg(16)->Arg(1024)->Arg(4096);
 
-// Problem 2 under a moving budget ceiling, the two ways a DecisionCache
-// miss can be answered: a fresh exhaustive search under the ceiling, or a
-// lookup into the pair's memoized cap curve (Optimizer::decide_all_ceilings,
-// built once per pair) at the ceiling's level. The ceilings cycle through
+// Problem 2 under a moving budget ceiling, the two ways a decision-table
+// cell could be filled: a fresh exhaustive search under the ceiling, or a
+// lookup into the pair's cap curve (Optimizer::decide_all_ceilings, built
+// once per pair) at the ceiling's level — the way the table fills it. The ceilings cycle through
 // on-grid, between-grid and unbounded values.
 constexpr double kProblem2Ceilings[] = {211.0, 189.5, 250.0, 1.0e9, 170.0, 231.7};
 

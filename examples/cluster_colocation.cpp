@@ -11,7 +11,7 @@
 //
 // The comparison is a report scenario, so the tool speaks the shared bench
 // CLI: --json writes a schema-v1 BENCH document (the end-to-end probe for the
-// scheduler's DecisionCache — hits/misses per mode are part of the table).
+// scheduler's decision table — hits/misses per mode are part of the table).
 //
 // Usage: ./examples/cluster_colocation [num_jobs] [num_nodes] [seed]
 //            [--json PATH] [--filter REGEX] [--list] ...
@@ -139,7 +139,7 @@ report::ScenarioResult run_modes(const StreamConfig& config,
       "x vs exclusive; power-cap co-optimization (P2) uses " +
       str::format_fixed(energy_gain, 2) +
       "x less energy than exclusive.\ncache hits count allocator searches the "
-      "scheduler's DecisionCache answered without re-running the optimizer.");
+      "scheduler's decision table answered without re-running the optimizer.");
   return result;
 }
 

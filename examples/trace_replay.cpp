@@ -3,7 +3,7 @@
 // Zipf-skewed job mix over the 24-workload registry, optional random-walk
 // cluster power budget) is replayed deterministically through
 // sched::Cluster + CoScheduler by the discrete-event SimEngine, reporting
-// per-tenant queueing metrics and the scheduler's DecisionCache behavior
+// per-tenant queueing metrics and the scheduler's decision-table hit rate
 // under sustained load.
 //
 // Regimes:
@@ -513,7 +513,7 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
   result.add_section(std::move(section));
   result.add_note(
       "every job arrived online (no batch queue): waits come from real "
-      "contention, the\nDecisionCache hit rate is what the scheduler saw "
+      "contention, the\ndecision-table hit rate is what the scheduler saw "
       "under sustained multi-tenant load,\nand conservation (submitted == "
       "completed + queued + running) held at every event.");
   return result;

@@ -173,15 +173,6 @@ class FlatMap {
     return false;
   }
 
-  /// Erase a live entry by its slot id (e.g. an LRU victim already at hand).
-  void erase_id(id_type id) noexcept {
-    const std::uint64_t hash = slots_[id].hash;
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t b = static_cast<std::size_t>(hash) & mask;
-    while (buckets_[b].slot != id) b = (b + 1) & mask;
-    erase_bucket(b);
-  }
-
   /// Insertion-order iteration: first live slot id / successor of `id`
   /// (npos at the end). Erase-safe for the entry *behind* the cursor only.
   id_type first_id() const noexcept { return head_; }

@@ -1,5 +1,5 @@
-// Shared hash-combining primitives for the interned-key caches
-// (sched::DecisionCache, sched::RunMemo).
+// Shared hash-combining primitives (sched::RunMemo, common::FlatMap and the
+// FleetRouter's tenant-affinity hash).
 #pragma once
 
 #include <cstdint>

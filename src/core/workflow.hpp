@@ -49,7 +49,7 @@ class ResourcePowerAllocator {
 
   /// Get-or-assign the dense profile-database id of `app`. Ids are only
   /// meaningful against this allocator's profile store; the scheduler uses
-  /// them for its in-flight bitmap and DecisionCache keys.
+  /// them to index its in-flight bitmap and decision table.
   Symbol intern_app(std::string_view app) { return profiles_.intern_app(app); }
 
   /// Record a profile collected during an exclusive first run.

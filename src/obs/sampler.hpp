@@ -40,7 +40,7 @@ struct SampleRow {
   double budget_watts = -1.0;
   std::uint64_t dispatched = 0;    ///< cumulative dispatch events
   std::uint64_t completed = 0;     ///< cumulative completed jobs
-  double cache_hit_rate = 0.0;     ///< DecisionCache, cumulative this replay
+  double cache_hit_rate = 0.0;     ///< decision table, cumulative this replay
   double memo_hit_rate = 0.0;      ///< RunMemo, cumulative this replay
   /// Outstanding jobs per tenant id at sample time (submitted - completed).
   /// Tenant ids are interned on first arrival, so early rows are shorter

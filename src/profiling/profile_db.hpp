@@ -42,7 +42,7 @@ class ProfileDb {
   std::vector<std::string> app_names() const;
 
   /// Bumped on every put(). Consumers that cache decisions derived from the
-  /// stored profiles (sched::DecisionCache) compare revisions to detect
+  /// stored profiles (sched::CoScheduler's decision table) compare revisions to detect
   /// mutation through any path. Interning does NOT bump the revision — an id
   /// assignment changes no stored profile.
   std::uint64_t revision() const noexcept { return revision_; }

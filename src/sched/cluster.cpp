@@ -81,7 +81,7 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
   queue_.clear();
   budget_ = config_.total_power_budget_watts;
   session_ = ClusterReport{};
-  cache_at_session_start_ = scheduler.decision_cache().stats();
+  decisions_at_session_start_ = scheduler.decision_stats();
   memo_at_session_start_ = run_memo_.stats();
   energy_at_session_start_ = 0.0;
   clock_at_session_start_ = 0.0;
@@ -135,8 +135,8 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
   // nodes are all busy (or down) nearly every time, so that case exits here
   // instead of walking the occupancy bitmap.
   if (idle_nodes_.empty() || queue_.empty()) return 0;
-  // Batch-invariant scheduler context, prepared once for every probe below.
-  CoScheduler::BatchContext batch = scheduler.begin_batch(now);
+  // Reconcile the scheduler with the profile store once for every probe.
+  scheduler.begin_batch();
   std::size_t dispatches = 0;
   bool dispatched = true;
   while (dispatched && !queue_.empty()) {
@@ -165,7 +165,7 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
       if (budget_.has_value()) max_affordable = *budget_ - busy_sum;
 
       auto plan_opt = config_.enable_coscheduling
-                          ? scheduler.next_in_batch(batch, queue_, max_affordable)
+                          ? scheduler.next_in_batch(queue_, now, max_affordable)
                           : std::optional<DispatchPlan>{};
       if (!config_.enable_coscheduling && queue_.ready_count(now) > 0) {
         const double cap = std::min(node.chip().arch().tdp_watts, max_affordable);
@@ -394,11 +394,10 @@ ClusterReport Cluster::report(const CoScheduler& scheduler) const {
   if (report.jobs_completed > 0)
     report.mean_turnaround =
         turnaround_sum_ / static_cast<double>(report.jobs_completed);
-  const DecisionCache::Stats cache = scheduler.decision_cache().stats();
-  report.decision_cache_hits = cache.hits - cache_at_session_start_.hits;
-  report.decision_cache_misses = cache.misses - cache_at_session_start_.misses;
-  report.decision_cache_evictions =
-      cache.evictions - cache_at_session_start_.evictions;
+  const CoScheduler::DecisionStats decisions = scheduler.decision_stats();
+  report.decision_cache_hits = decisions.hits - decisions_at_session_start_.hits;
+  report.decision_cache_misses =
+      decisions.misses - decisions_at_session_start_.misses;
   const RunMemo::Stats memo = run_memo_.stats();
   report.run_memo_hits = memo.hits - memo_at_session_start_.hits;
   report.run_memo_misses = memo.misses - memo_at_session_start_.misses;

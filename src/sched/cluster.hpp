@@ -86,10 +86,12 @@ struct ClusterReport {
   std::size_t pair_dispatches = 0;
   std::size_t exclusive_dispatches = 0;
   std::size_t profile_runs = 0;
-  /// Allocator searches saved / paid / evicted by the scheduler's
-  /// DecisionCache over this run (deltas of the scheduler's counters).
+  /// Pairing probes the scheduler's decision table answered from a served
+  /// cell / had to fill over this run (deltas of the scheduler's counters).
   std::size_t decision_cache_hits = 0;
   std::size_t decision_cache_misses = 0;
+  /// Always 0: the decision table never evicts. Kept for report readers
+  /// (the perfbench harness) until the next revision of the benchmark.
   std::size_t decision_cache_evictions = 0;
   /// Physics solves served from / paid into the session's RunMemo (deltas
   /// of its monotonic counters) — how much of the execution-engine work the
@@ -129,7 +131,7 @@ class Cluster {
   // supplied by the caller, then report() to assemble the statistics.
 
   /// Start a fresh accounting session: clears the queue, per-job statistics,
-  /// and dispatch counters, and snapshots the scheduler's DecisionCache
+  /// and dispatch counters, and snapshots the scheduler's decision-table
   /// counters plus node energy so report() returns session deltas.
   void begin_session(const CoScheduler& scheduler);
 
@@ -236,7 +238,7 @@ class Cluster {
   }
 
   /// Statistics accumulated since begin_session (makespan from node clocks,
-  /// energy and DecisionCache counters as deltas against the session start).
+  /// energy and decision-table counters as deltas against the session start).
   /// Under the Indexed core this first catches idle nodes up to the session
   /// clock so idle power accrues to the end of the session, exactly as the
   /// Exact core does eagerly.
@@ -286,7 +288,7 @@ class Cluster {
   JobQueue queue_;
   std::optional<double> budget_;
   ClusterReport session_;
-  DecisionCache::Stats cache_at_session_start_;
+  CoScheduler::DecisionStats decisions_at_session_start_;
   RunMemo::Stats memo_at_session_start_;
   double energy_at_session_start_ = 0.0;
   double clock_at_session_start_ = 0.0;

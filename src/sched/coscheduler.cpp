@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -10,8 +11,9 @@ namespace migopt::sched {
 CoScheduler::CoScheduler(core::ResourcePowerAllocator& allocator,
                          core::Policy policy, SchedulerTuning tuning)
     : allocator_(&allocator), policy_(policy), tuning_(tuning),
-      decision_cache_(tuning.decision_cache_capacity),
-      cached_profile_revision_(allocator.profiles().revision()) {
+      cached_profile_revision_(allocator.profiles().revision()),
+      planes_(allocator.optimizer().ceiling_levels().size() + 1 +
+              (policy.fixed_power_cap.has_value() ? 1 : 0)) {
   MIGOPT_REQUIRE(tuning_.pairing_window >= 1, "pairing window must be >= 1");
   MIGOPT_REQUIRE(tuning_.min_pair_speedup >= 0.0,
                  "negative pairing speedup threshold");
@@ -39,23 +41,6 @@ bool CoScheduler::pair_acceptable(const Job& pivot, const Job& candidate,
   return true;
 }
 
-double CoScheduler::default_cap(double max_cap_watts) const {
-  // Exclusive runs execute under Problem 1's fixed cap when one is set;
-  // otherwise at the highest cap the optimizer may choose — in both cases
-  // clamped into the budget ceiling via the trained grid.
-  if (policy_.fixed_power_cap.has_value() &&
-      *policy_.fixed_power_cap <= max_cap_watts)
-    return *policy_.fixed_power_cap;
-  const core::Optimizer& optimizer = allocator_->optimizer();
-  MIGOPT_REQUIRE(!optimizer.ceiling_levels().empty(),
-                 "optimizer cap grid is empty — cannot pick a dispatch cap");
-  // Largest trained cap <= the ceiling (identical to a max over the grid
-  // filtered by the ceiling), -1 when nothing fits.
-  const std::ptrdiff_t level = optimizer.ceiling_level(max_cap_watts);
-  return level < 0 ? -1.0
-                   : optimizer.ceiling_levels()[static_cast<std::size_t>(level)];
-}
-
 double CoScheduler::min_cap() const {
   // An empty grid would make the +inf seed escape as a "real" cap and
   // silently starve dispatch forever; fail loudly instead. (The Optimizer
@@ -67,39 +52,81 @@ double CoScheduler::min_cap() const {
   return levels.front();
 }
 
-void CoScheduler::sync_cache_with_profiles() {
-  if (allocator_->profiles().revision() != cached_profile_revision_)
-    invalidate_decisions();
-}
-
 void CoScheduler::invalidate_decisions() {
-  decision_cache_.invalidate();
-  if (cap_curves_ > 0) {
-    for (std::vector<core::Decision>& curve : curves_) curve.clear();
-    cap_curves_ = 0;
-  }
+  // Stale decisions stay in place: `served` and curve_built_ gate reads.
+  for (std::vector<Cell>& plane : planes_)
+    for (Cell& cell : plane) cell.served = false;
+  std::fill(curve_built_.begin(), curve_built_.end(), std::uint8_t{0});
   cached_profile_revision_ = allocator_->profiles().revision();
 }
 
-const core::Decision& CoScheduler::cap_curve_entry(AppId pivot, AppId candidate,
-                                                   std::size_t level) {
+std::size_t CoScheduler::decision_cells() const {
+  std::size_t served = 0;
+  for (const std::vector<Cell>& plane : planes_)
+    for (const Cell& cell : plane) served += cell.served ? 1 : 0;
+  return served;
+}
+
+std::size_t CoScheduler::cap_curves() const {
+  return static_cast<std::size_t>(
+      std::count(curve_built_.begin(), curve_built_.end(), std::uint8_t{1}));
+}
+
+std::vector<CoScheduler::Cell>& CoScheduler::plane(std::size_t slot) {
+  std::vector<Cell>& cells = planes_[slot];
+  if (cells.empty()) cells.resize(stride_ * stride_);
+  return cells;
+}
+
+void CoScheduler::grow_table(std::size_t needed) {
+  // New apps intern rarely; round up so a registry's worth of ids re-lays
+  // the table out only a few times.
+  const std::size_t stride = (needed + 7) / 8 * 8;
+  const auto relayout = [&](auto& table) {
+    if (table.empty()) return;  // allocated on first use, at the new stride
+    std::remove_reference_t<decltype(table)> grown(stride * stride);
+    for (std::size_t row = 0; row < stride_; ++row)
+      std::copy_n(table.begin() + row * stride_, stride_,
+                  grown.begin() + row * stride);
+    table = std::move(grown);
+  };
+  for (std::vector<Cell>& cells : planes_) relayout(cells);
+  relayout(curve_built_);
+  stride_ = stride;
+}
+
+const core::Decision& CoScheduler::decision(std::size_t slot, AppId pivot,
+                                            AppId candidate) {
   const std::size_t needed = std::size_t{std::max(pivot, candidate)} + 1;
-  if (needed > curve_stride_) {
-    // Re-lay the table out for the wider id space (new apps intern rarely).
-    const std::size_t stride = std::max(needed, 2 * curve_stride_);
-    std::vector<std::vector<core::Decision>> grown(stride * stride);
-    for (std::size_t a = 0; a < curve_stride_; ++a)
-      for (std::size_t b = 0; b < curve_stride_; ++b)
-        grown[a * stride + b] = std::move(curves_[a * curve_stride_ + b]);
-    curves_ = std::move(grown);
-    curve_stride_ = stride;
+  if (needed > stride_) grow_table(needed);
+  const std::size_t pair = pivot * stride_ + candidate;
+  Cell& cell = plane(slot)[pair];
+  if (cell.served) {
+    ++stats_.hits;
+    return cell.decision;
   }
-  std::vector<core::Decision>& curve = curves_[pivot * curve_stride_ + candidate];
-  if (curve.empty()) {
-    curve = allocator_->allocate_all_ceilings(pivot, candidate, policy_);
-    ++cap_curves_;
+  ++stats_.misses;
+  const std::vector<double>& levels = allocator_->optimizer().ceiling_levels();
+  if (slot < levels.size() && !policy_.fixed_power_cap.has_value()) {
+    // Free cap under a ceiling: one curve fills every level cell of the
+    // pair, each bit-equal to a search under any ceiling of its level.
+    if (curve_built_.empty()) curve_built_.resize(stride_ * stride_, 0);
+    if (curve_built_[pair] == 0) {
+      const std::vector<core::Decision> curve =
+          allocator_->allocate_all_ceilings(pivot, candidate, policy_);
+      for (std::size_t level = 0; level < curve.size(); ++level)
+        plane(level)[pair].decision = curve[level];
+      curve_built_[pair] = 1;
+    }
+  } else {
+    // Any headroom of the slot answers alike; search under its lowest one.
+    core::Policy policy = policy_;  // unceiled slot: levels.size()
+    if (slot < levels.size()) policy.power_cap_ceiling = levels[slot];
+    if (slot > levels.size()) policy.power_cap_ceiling = policy_.fixed_power_cap;
+    cell.decision = allocator_->allocate(pivot, candidate, policy);
   }
-  return curve[level];
+  cell.served = true;
+  return cell.decision;
 }
 
 void CoScheduler::set_profiling_in_flight(AppId app, bool value) {
@@ -109,28 +136,40 @@ void CoScheduler::set_profiling_in_flight(AppId app, bool value) {
   profiling_in_flight_[app] = value ? 1 : 0;
 }
 
-CoScheduler::BatchContext CoScheduler::begin_batch(double now) {
-  sync_cache_with_profiles();
-  return BatchContext(now);
+void CoScheduler::begin_batch() {
+  // A profile recorded through the allocator directly bumps its revision.
+  if (allocator_->profiles().revision() != cached_profile_revision_)
+    invalidate_decisions();
 }
 
 std::optional<DispatchPlan> CoScheduler::next(JobQueue& queue, double now,
                                               double max_cap_watts) {
-  BatchContext batch = begin_batch(now);
-  return next_in_batch(batch, queue, max_cap_watts);
+  begin_batch();
+  return next_in_batch(queue, now, max_cap_watts);
 }
 
-std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
-                                                       JobQueue& queue,
+std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
+                                                       double now,
                                                        double max_cap_watts) {
-  const double now = batch.now_;
   const std::size_t ready = queue.ready_count(now);
   if (ready == 0) return std::nullopt;
   if (max_cap_watts < min_cap()) return std::nullopt;  // budget exhausted
 
-  // The dispatch cap doubles as the canonical cache ceiling (both are
-  // default_cap of the budget headroom), so resolve it once up front.
-  const double dispatch_cap = default_cap(max_cap_watts);
+  // The headroom picks the exclusive dispatch cap and the decision-table
+  // slot. Exclusive runs execute under Problem 1's fixed cap when it fits,
+  // otherwise at the largest trained cap within the headroom (one fits, see
+  // above). Every headroom of one slot gets the same pairing answer: under
+  // a ceiling only which grid caps fit matters, and a fixed cap that fits
+  // ignores the headroom.
+  const core::Optimizer& optimizer = allocator_->optimizer();
+  const std::vector<double>& levels = optimizer.ceiling_levels();
+  const bool fixed_fits = policy_.fixed_power_cap.has_value() &&
+                          *policy_.fixed_power_cap <= max_cap_watts;
+  const auto level =
+      static_cast<std::size_t>(optimizer.ceiling_level(max_cap_watts));
+  const std::size_t slot = !std::isfinite(max_cap_watts) ? levels.size()
+                           : fixed_fits                  ? levels.size() + 1
+                                                         : level;
 
   // Pivot: the first ready job not waiting on an in-flight profile run of its
   // own application (only one profile run per app may be outstanding).
@@ -147,7 +186,7 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
   if (!pivot.has_value()) return std::nullopt;
 
   DispatchPlan plan;
-  plan.power_cap_watts = dispatch_cap;
+  plan.power_cap_watts = fixed_fits ? *policy_.fixed_power_cap : levels[level];
 
   // Unprofiled pivot -> exclusive profile run.
   if (!allocator_->can_coschedule(pivot_app)) {
@@ -157,28 +196,7 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
     return plan;
   }
 
-  // Scan the window beyond the pivot for the best acceptable partner. The
-  // ceiling-stamped policy copies are built only now — the profile-run and
-  // budget-starved exits above never read them — and cached in the batch
-  // context keyed by the headroom they were stamped for: an unconstrained
-  // batch (the common case) never stamps at all, and a budgeted batch
-  // restamps only when a dispatch actually moved the headroom.
-  const bool ceiled = std::isfinite(max_cap_watts);
-  if (ceiled && (!batch.has_stamp_ || batch.stamped_for_ != max_cap_watts)) {
-    batch.policy_ = policy_.with_ceiling(max_cap_watts);
-    // Decisions are computed under the exact policy but cached under the
-    // canonical ceiling, so budget headroom wobble still hits the cache.
-    batch.cache_policy_ = policy_.with_ceiling(dispatch_cap);
-    batch.ceiling_level_ = static_cast<std::size_t>(
-        allocator_->optimizer().ceiling_level(max_cap_watts));
-    batch.stamped_for_ = max_cap_watts;
-    batch.has_stamp_ = true;
-  }
-  const core::Policy& policy = ceiled ? batch.policy_ : policy_;
-  const core::Policy& cache_policy = ceiled ? batch.cache_policy_ : policy_;
-  // A ceiled free-cap miss reads the pair's cap curve instead of searching:
-  // the curve entry at the ceiling's level is bit-equal to the search.
-  const bool from_curve = ceiled && !policy_.fixed_power_cap.has_value();
+  // Scan the window beyond the pivot for the best acceptable partner.
   const std::size_t window = std::min(ready, *pivot + tuning_.pairing_window + 1);
   std::optional<std::size_t> best_index;
   core::Decision best_decision;
@@ -187,17 +205,12 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(BatchContext& batch,
     const AppId candidate_app = candidate.app_id;
     if (profiling_in_flight(candidate_app)) continue;
     if (!allocator_->can_coschedule(candidate_app)) continue;
-    const core::Decision& decision = decision_cache_.get_or_compute(
-        pivot_app, candidate_app, cache_policy, [&] {
-          return from_curve ? cap_curve_entry(pivot_app, candidate_app,
-                                              batch.ceiling_level_)
-                            : allocator_->allocate(pivot_app, candidate_app, policy);
-        });
-    if (!pair_acceptable(queue.peek(*pivot), candidate, decision)) continue;
+    const core::Decision& answer = decision(slot, pivot_app, candidate_app);
+    if (!pair_acceptable(queue.peek(*pivot), candidate, answer)) continue;
     if (!best_index.has_value() ||
-        decision.objective_value > best_decision.objective_value) {
+        answer.objective_value > best_decision.objective_value) {
       best_index = i;
-      best_decision = decision;
+      best_decision = answer;
     }
   }
 
@@ -218,7 +231,7 @@ void CoScheduler::record_profile(AppId app, const prof::CounterSet& counters) {
   set_profiling_in_flight(app, false);
   allocator_->record_profile(allocator_->profiles().app_name(app), counters);
   // A new/updated profile changes what the allocator may answer; drop every
-  // memoized decision and resync with the store's revision.
+  // served cell and resync with the store's revision.
   invalidate_decisions();
 }
 

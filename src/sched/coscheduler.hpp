@@ -5,6 +5,15 @@
 // candidates. Jobs without a recorded profile must run exclusively first
 // (Figure 7: "if no profile is recorded... must be executed exclusively for
 // the profile run").
+//
+// Decision memo: while the profile store is unchanged, a pairing probe's
+// answer depends only on (pivot app, candidate app, slot), the slot being the
+// headroom's ceiling level (Optimizer::ceiling_levels()), "unceiled", or, for
+// fixed-cap policies, "the fixed cap fits the headroom". One dense table of
+// those cells is the memo. A probe is a hit exactly when its cell was served
+// since the last clear, which is what an unbounded cache keyed by
+// (app1, app2, policy with its ceiling rounded down to the dispatch cap)
+// counts.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +24,6 @@
 
 #include "core/policy.hpp"
 #include "core/workflow.hpp"
-#include "sched/decision_cache.hpp"
 #include "sched/job_queue.hpp"
 
 namespace migopt::sched {
@@ -46,10 +54,10 @@ struct SchedulerTuning {
   /// fraction of the serial time (only with duration hints). Thin-margin
   /// pairs sit inside the model's error band, so they run serially instead.
   double duration_benefit_margin = 0.1;
-  /// Bound on the memoized allocator decisions (LRU-evicted beyond it). The
-  /// default is generous for the 24-workload registry; long multi-tenant
-  /// traces may size it down to study thrashing (evictions are reported).
-  std::size_t decision_cache_capacity = DecisionCache::kDefaultCapacity;
+  /// Not read: the dense decision table has no capacity and never evicts.
+  /// Kept only because the perfbench harness still sets it; the next
+  /// revision of the benchmark deletes it.
+  std::size_t decision_cache_capacity = 0;
 };
 
 class CoScheduler {
@@ -62,45 +70,26 @@ class CoScheduler {
   const core::Policy& policy() const noexcept { return policy_; }
   const SchedulerTuning& tuning() const noexcept { return tuning_; }
 
-  /// Per-batch dispatch context (see begin_batch). Holds work that is
-  /// invariant across the probes of one dispatch batch: the batch clock and
-  /// the ceiling-stamped policy copies, cached by the budget headroom they
-  /// were stamped for. Opaque to callers; create via begin_batch.
-  class BatchContext {
-   public:
-    double now() const noexcept { return now_; }
-
-   private:
-    friend class CoScheduler;
-    explicit BatchContext(double now) : now_(now) {}
-
-    double now_;
-    /// Headroom the stamped copies below were built for. Unconstrained
-    /// probes (+inf headroom) bypass the stamp entirely and use the base
-    /// policy, so a finite key is always meaningful.
-    double stamped_for_ = 0.0;
-    bool has_stamp_ = false;
-    core::Policy policy_;        ///< policy_.with_ceiling(headroom)
-    core::Policy cache_policy_;  ///< policy_.with_ceiling(default_cap(headroom))
-    std::size_t ceiling_level_ = 0;  ///< cap-curve level of the headroom
+  /// Hit/miss counts of the decision table (cumulative; reports take
+  /// deltas). Nothing is ever evicted.
+  struct DecisionStats {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
   };
 
-  /// Open a dispatch batch at `now`: reconciles the decision cache with the
-  /// profile store once for the whole batch. Safe because nothing inside a
-  /// batch can change the store's revision — profiles are recorded at job
+  /// Open a dispatch batch: reconciles the decision table with the profile
+  /// store once for the whole batch. Safe because nothing inside a batch can
+  /// change the store's revision — profiles are recorded at job
   /// *completion* (between batches) and interning never bumps the revision.
-  /// Feed the returned context to next_in_batch for every probe of the
-  /// batch; contexts are cheap, stack-held, and must not outlive the batch.
-  BatchContext begin_batch(double now);
+  void begin_batch();
 
-  /// Plan the next dispatch from the queue (jobs ready at the batch clock);
-  /// nullopt when no job is ready, every ready job is waiting for an
-  /// in-flight profile run of its application, or `max_cap_watts` (what
-  /// remains of a cluster power budget) is below every cap the optimizer
-  /// may choose. Produces exactly the plan next() produces — the batch
-  /// context only hoists per-batch invariants out of the probe.
+  /// Plan the next dispatch from the queue (jobs ready at `now`) inside a
+  /// batch opened by begin_batch; nullopt when no job is ready, every ready
+  /// job is waiting for an in-flight profile run of its application, or
+  /// `max_cap_watts` (what remains of a cluster power budget) is below every
+  /// cap the optimizer may choose.
   std::optional<DispatchPlan> next_in_batch(
-      BatchContext& batch, JobQueue& queue,
+      JobQueue& queue, double now,
       double max_cap_watts = std::numeric_limits<double>::infinity());
 
   /// Single-probe convenience: a batch of one (begin_batch + next_in_batch).
@@ -115,15 +104,15 @@ class CoScheduler {
 
   /// Record a profile measured during an exclusive first run of `app` (an
   /// id from intern_app). Releases any queued jobs of the same application
-  /// held back while it was in flight and invalidates the decision cache
-  /// (the allocator's answers may change).
+  /// held back while it was in flight and clears the decision table (the
+  /// allocator's answers may change).
   void record_profile(AppId app, const prof::CounterSet& counters);
 
   /// A dispatched profile run died without producing a profile (its node
   /// crashed, or a power emergency shed it): clear the in-flight flag so
   /// queued jobs of the application are released and the *next* exclusive
   /// run re-attempts the profile. Nothing was recorded, so the decision
-  /// cache stays valid.
+  /// table stays valid.
   void abort_profile(const Job& job);
 
   /// Name of an interned app id (the allocator's symbol table). Throws on
@@ -133,39 +122,44 @@ class CoScheduler {
   }
 
   /// Intern an app name against the allocator's profile store (the id space
-  /// Job::app_id, the in-flight bitmap, and DecisionCache keys live in).
+  /// Job::app_id, the in-flight bitmap, and the decision table live in).
   /// Every job producer stamps Job::app_id through this; producers of many
   /// jobs (trace::SimEngine) intern once per distinct app.
   AppId intern_app(const std::string& app) { return allocator_->intern_app(app); }
 
-  /// Memoized allocator decisions for the pairing window; hits/misses expose
-  /// how much search the cache saved across dispatches.
-  const DecisionCache& decision_cache() const noexcept { return decision_cache_; }
+  /// Decision-table probes of the pairing window: a hit is a probe whose
+  /// cell was already served since the last clear.
+  const DecisionStats& decision_stats() const noexcept { return stats_; }
+
+  /// Cells served since the last clear (the memoized decisions).
+  std::size_t decision_cells() const;
 
   /// Pair cap curves currently memoized. Under a budget ceiling with a
-  /// free-cap policy, a DecisionCache miss is answered from the (pivot,
-  /// candidate) curve — built once per pair by
-  /// ResourcePowerAllocator::allocate_all_ceilings — instead of a fresh
-  /// search. Curves are dropped whenever the decision cache is invalidated.
-  std::size_t cap_curves() const noexcept { return cap_curves_; }
+  /// free-cap policy, every ceiling-level cell of a (pivot, candidate) pair
+  /// is filled at once by ResourcePowerAllocator::allocate_all_ceilings
+  /// instead of one search per level. Curves are dropped with the table.
+  std::size_t cap_curves() const;
 
  private:
-  /// Cap for exclusive dispatches, honouring `max_cap_watts`; negative when
-  /// nothing in the grid fits. Throws ContractViolation when the grid is
-  /// empty instead of returning -1.0.
-  double default_cap(double max_cap_watts) const;
+  struct Cell {
+    core::Decision decision;
+    bool served = false;  ///< served since the last clear
+  };
+
   /// Apply the tuning gates to a candidate decision for (pivot, candidate).
   bool pair_acceptable(const Job& pivot, const Job& candidate,
                        const core::Decision& decision) const noexcept;
 
-  /// Drop cached decisions when the allocator's profile store changed under
-  /// us (e.g. record_profile called on the allocator directly).
-  void sync_cache_with_profiles();
-  /// Drop the decision cache and every cap curve; resync the revision.
+  /// Clear every served cell and cap curve; resync the revision.
   void invalidate_decisions();
-  /// Entry `level` of the (pivot, candidate) cap curve, built on first use.
-  const core::Decision& cap_curve_entry(AppId pivot, AppId candidate,
-                                        std::size_t level);
+  /// Re-lay the table out so app ids below `needed` index it.
+  void grow_table(std::size_t needed);
+  /// The cells of `slot`, allocated on first use.
+  std::vector<Cell>& plane(std::size_t slot);
+  /// The (pivot, candidate) decision in `slot`, counted as a hit when the
+  /// cell was served since the last clear, filled otherwise.
+  const core::Decision& decision(std::size_t slot, AppId pivot,
+                                 AppId candidate);
 
   bool profiling_in_flight(AppId app) const noexcept {
     return app < profiling_in_flight_.size() && profiling_in_flight_[app] != 0;
@@ -180,13 +174,16 @@ class CoScheduler {
   /// Dense bitmap indexed by AppId — an O(1) load per window candidate where
   /// a std::set<std::string> paid a string-compare tree walk.
   std::vector<std::uint8_t> profiling_in_flight_;
-  DecisionCache decision_cache_;
   std::uint64_t cached_profile_revision_ = 0;
-  /// Cap curves by app ids: curves_[pivot * curve_stride_ + candidate], empty
-  /// until built. Dense like the in-flight bitmap; grown when ids outgrow it.
-  std::vector<std::vector<core::Decision>> curves_;
-  std::size_t curve_stride_ = 0;
-  std::size_t cap_curves_ = 0;  ///< non-empty entries of curves_
+  /// One plane per slot (the ceiling levels, unceiled, then "fits"): cell
+  /// (pivot, candidate, slot) is planes_[slot][pivot * stride_ + candidate].
+  /// A plane is allocated on its slot's first probe (an unbudgeted replay
+  /// touches one); all grow when ids outgrow stride_.
+  std::vector<std::vector<Cell>> planes_;
+  /// Per pair: the level cells were filled from the pair's cap curve.
+  std::vector<std::uint8_t> curve_built_;
+  std::size_t stride_ = 0;
+  DecisionStats stats_;
 };
 
 }  // namespace migopt::sched

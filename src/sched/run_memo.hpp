@@ -34,7 +34,7 @@ class RunMemo {
  public:
   /// Monotonic probe counters (a hit serves a stored solve, a miss pays a
   /// fresh one). Never reset — owners snapshot them at session start and
-  /// report deltas, exactly like DecisionCache::Stats.
+  /// report deltas, exactly like CoScheduler::DecisionStats.
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;

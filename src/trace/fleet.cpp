@@ -389,8 +389,8 @@ FleetReport FleetEngine::replay(const Trace& fleet_trace) const {
   // The offline phase is deterministic, so the model trains once and each
   // shard copies the artifacts instead of repeating the training sweep —
   // bit-identical to per-shard training, minus cluster_count-1 sweeps. The
-  // copies matter: profile runs mutate the allocator and RunMemo/
-  // DecisionCache are session state, so sharing a mutable allocator across
+  // copies matter: profile runs mutate the allocator and RunMemo and the
+  // scheduler's decision table are session state, so sharing a mutable allocator across
   // shards would couple their schedules (and race under threads). Each
   // shard still builds its own scheduler and cluster; results land in
   // pre-sized slots and merge below in index order: any fan-out width is
@@ -504,7 +504,6 @@ FleetReport FleetEngine::replay(const Trace& fleet_trace) const {
     report.profile_runs += sim.cluster.profile_runs;
     report.decision_cache_hits += sim.cluster.decision_cache_hits;
     report.decision_cache_misses += sim.cluster.decision_cache_misses;
-    report.decision_cache_evictions += sim.cluster.decision_cache_evictions;
     report.run_memo_hits += sim.cluster.run_memo_hits;
     report.run_memo_misses += sim.cluster.run_memo_misses;
     report.makespan_seconds =

@@ -263,7 +263,7 @@ struct FleetReport {
   std::size_t profile_runs = 0;
   std::size_t decision_cache_hits = 0;
   std::size_t decision_cache_misses = 0;
-  std::size_t decision_cache_evictions = 0;
+  std::size_t decision_cache_evictions = 0;  ///< always 0 (nothing evicts)
   /// Summed sched::RunMemo counters — fleet-wide physics-memo efficacy.
   std::size_t run_memo_hits = 0;
   std::size_t run_memo_misses = 0;

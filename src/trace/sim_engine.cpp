@@ -257,7 +257,8 @@ SimReport replay_impl(const SimConfig& config, Source& source,
                       const wl::WorkloadRegistry& registry,
                       sched::Cluster& cluster,
                       sched::CoScheduler& scheduler) {
-  const auto cache_at_start = scheduler.decision_cache().stats();
+  const sched::CoScheduler::DecisionStats decisions_at_start =
+      scheduler.decision_stats();
   cluster.begin_session(scheduler);
   const auto memo_at_start = cluster.run_memo_stats();
   const gpusim::GpuChip& chip = cluster.nodes().front()->chip();
@@ -333,9 +334,10 @@ SimReport replay_impl(const SimConfig& config, Source& source,
   }
 
   const auto cache_hit_rate = [&] {
-    const auto stats = scheduler.decision_cache().stats();
-    const std::size_t hits = stats.hits - cache_at_start.hits;
-    const std::size_t probes = hits + (stats.misses - cache_at_start.misses);
+    const auto& stats = scheduler.decision_stats();
+    const std::size_t hits = stats.hits - decisions_at_start.hits;
+    const std::size_t probes =
+        hits + (stats.misses - decisions_at_start.misses);
     return probes == 0 ? 0.0
                        : static_cast<double>(hits) / static_cast<double>(probes);
   };
@@ -559,18 +561,19 @@ SimReport replay_impl(const SimConfig& config, Source& source,
         const ProfileClock::time_point budget_start =
             profile ? ProfileClock::now() : ProfileClock::time_point{};
         const double span_start_us = tracer ? tracer->now_us() : 0.0;
-        const std::optional<double> watts =
-            event.watts > 0.0 ? std::optional<double>(event.watts)
-                              : std::nullopt;
-        trace_budget = watts;
+        // A non-positive wattage lifts the budget.
+        if (event.watts > 0.0)
+          trace_budget = event.watts;
+        else
+          trace_budget.reset();
         // An active power emergency clamps every trace budget until it
         // ends (the standing contract is restored at EmergencyEnd).
         if (emergency_watts > 0.0)
-          cluster.set_power_budget(watts.has_value()
-                                       ? std::min(*watts, emergency_watts)
+          cluster.set_power_budget(event.watts > 0.0
+                                       ? std::min(event.watts, emergency_watts)
                                        : emergency_watts);
         else
-          cluster.set_power_budget(watts);
+          cluster.set_power_budget(trace_budget);
         ++report.budget_events_applied;
         if (tracer)
           tracer->span(track, "rebroker", span_start_us,
@@ -718,7 +721,6 @@ SimReport replay_impl(const SimConfig& config, Source& source,
                   static_cast<std::uint64_t>(c.total_energy_joules * 1e3));
     metrics.count("decision_cache.hits", c.decision_cache_hits);
     metrics.count("decision_cache.misses", c.decision_cache_misses);
-    metrics.count("decision_cache.evictions", c.decision_cache_evictions);
     metrics.count("run_memo.hits", c.run_memo_hits);
     metrics.count("run_memo.misses", c.run_memo_misses);
     metrics.level("replay.peak_queue_depth",

@@ -15,6 +15,7 @@
 namespace migopt::core {
 namespace {
 
+using test::expect_bit_equal;
 using test::shared_artifacts;
 using test::shared_pairs;
 
@@ -236,20 +237,6 @@ TEST(Optimizer, MutatingTheModelAfterConstructionIsRejected) {
   EXPECT_THROW(opt.decide_hill_climb(profile_of("sgemm"), profile_of("stream"),
                                      Policy::problem2(0.2), rng),
                ContractViolation);
-}
-
-void expect_bit_equal(const Decision& a, const Decision& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_TRUE(a.state == b.state);
-  EXPECT_EQ(a.power_cap_watts, b.power_cap_watts);
-  EXPECT_EQ(a.objective_value, b.objective_value);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  EXPECT_EQ(a.predicted.relperf_app1, b.predicted.relperf_app1);
-  EXPECT_EQ(a.predicted.relperf_app2, b.predicted.relperf_app2);
-  EXPECT_EQ(a.predicted.throughput, b.predicted.throughput);
-  EXPECT_EQ(a.predicted.fairness, b.predicted.fairness);
-  EXPECT_EQ(a.predicted.power_cap_watts, b.predicted.power_cap_watts);
-  EXPECT_EQ(a.predicted.energy_efficiency, b.predicted.energy_efficiency);
 }
 
 /// Every ceiling shape a budget can produce: each grid cap, halfway between

@@ -209,8 +209,8 @@ TEST(CoScheduler, Problem2PlanCarriesChosenCap) {
 }
 
 TEST(CoScheduler, EmptyCapGridFailsLoudly) {
-  // min_cap()/default_cap() MIGOPT_REQUIRE a non-empty cap grid instead of
-  // returning +inf/-1.0 (which silently starved dispatch). The contract is
+  // min_cap() MIGOPT_REQUIREs a non-empty cap grid instead of returning
+  // +inf (which silently starved dispatch). The contract is
   // enforced at the earliest layer: an allocator cannot even be assembled
   // over an empty grid.
   auto trained = make_allocator();

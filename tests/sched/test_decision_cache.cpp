@@ -1,24 +1,28 @@
-#include "sched/decision_cache.hpp"
+// CoScheduler's decision table: hit counting, clearing, and bit-equality of
+// every served cell with a fresh search under the probe's exact policy. The
+// DecisionCache suite shares its name with the decision_cache_* counters.
+#include "sched/coscheduler.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdint>
+#include <cmath>
 #include <limits>
-#include <list>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
-#include <unordered_map>
-#include <utility>
 
-#include "common/interner.hpp"
-#include "common/rng.hpp"
 #include "profiling/profiler.hpp"
-#include "sched/coscheduler.hpp"
 #include "test_util.hpp"
+#include "trace/presets.hpp"
 
 namespace migopt::sched {
 namespace {
+
+using test::expect_bit_equal;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 core::ResourcePowerAllocator make_allocator() {
   return core::ResourcePowerAllocator::train(
@@ -34,356 +38,295 @@ Job make_job(CoScheduler& scheduler, int id, const std::string& app) {
   return job;
 }
 
-void expect_identical(const core::Decision& a, const core::Decision& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_TRUE(a.state == b.state);
-  EXPECT_EQ(a.power_cap_watts, b.power_cap_watts);
-  EXPECT_EQ(a.objective_value, b.objective_value);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  EXPECT_EQ(a.predicted.relperf_app1, b.predicted.relperf_app1);
-  EXPECT_EQ(a.predicted.relperf_app2, b.predicted.relperf_app2);
-  EXPECT_EQ(a.predicted.throughput, b.predicted.throughput);
-  EXPECT_EQ(a.predicted.fairness, b.predicted.fairness);
-  EXPECT_EQ(a.predicted.power_cap_watts, b.predicted.power_cap_watts);
-  EXPECT_EQ(a.predicted.energy_efficiency, b.predicted.energy_efficiency);
+prof::CounterSet profile_of(const std::string& app) {
+  return prof::profile_run(test::shared_chip(),
+                           test::shared_registry().by_name(app).kernel);
 }
 
-TEST(PolicySignature, DistinguishesEveryDecisionRelevantField) {
-  const core::Policy base = core::Policy::problem2(0.2);
-  EXPECT_EQ(PolicySignature::of(base), PolicySignature::of(base));
-  core::Policy other = base;
-  other.alpha = 0.3;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(other));
-  other = base;
-  other.objective = core::PolicyObjective::Throughput;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(other));
-  other = base;
-  other.fairness_margin = 0.05;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(other));
-  other = base;
-  other.fixed_power_cap = 230.0;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(other));
-  other = base;
-  other.power_cap_ceiling = 210.0;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(other));
-  // A missing optional differs from the same field at 0.0.
-  core::Policy zero_cap = base;
-  zero_cap.power_cap_ceiling = 0.0;
-  EXPECT_NE(PolicySignature::of(base), PolicySignature::of(zero_cap));
+/// Dispatch (app1, app2) from a fresh two-job queue under `headroom`.
+std::optional<DispatchPlan> dispatch_pair(CoScheduler& scheduler,
+                                          const std::string& app1,
+                                          const std::string& app2,
+                                          double headroom = kInf) {
+  JobQueue queue;
+  queue.push(make_job(scheduler, 0, app1));
+  queue.push(make_job(scheduler, 1, app2));
+  return scheduler.next(queue, 0.0, headroom);
 }
+
+SchedulerTuning pair_everything() {
+  SchedulerTuning tuning;
+  tuning.min_pair_speedup = 0.0;  // every feasible decision pairs
+  return tuning;
+}
+
+void expect_counts(const CoScheduler& scheduler, std::size_t hits,
+                   std::size_t misses) {
+  EXPECT_EQ(scheduler.decision_stats().hits, hits);
+  EXPECT_EQ(scheduler.decision_stats().misses, misses);
+}
+
+}  // namespace
 
 TEST(DecisionCache, HitReturnsTheMemoizedDecisionUnchanged) {
   auto allocator = make_allocator();
-  DecisionCache cache;
   const core::Policy policy = core::Policy::problem2(0.2);
-  const Symbol igemm4 = allocator.intern_app("igemm4");
-  const Symbol stream = allocator.intern_app("stream");
-  int computations = 0;
-  const auto compute = [&] {
-    ++computations;
-    return allocator.allocate("igemm4", "stream", policy);
-  };
-  const core::Decision& first =
-      cache.get_or_compute(igemm4, stream, policy, compute);
-  const core::Decision& second =
-      cache.get_or_compute(igemm4, stream, policy, compute);
-  EXPECT_EQ(computations, 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  // The interned-key cached answer is byte-identical to a fresh string-path
-  // allocator search (the interned ↔ string decision equivalence pin).
-  expect_identical(second, allocator.allocate("igemm4", "stream", policy));
-  expect_identical(first, second);
+  CoScheduler scheduler(allocator, policy, pair_everything());
+  const auto first = dispatch_pair(scheduler, "igemm4", "stream");
+  const auto second = dispatch_pair(scheduler, "igemm4", "stream");
+  ASSERT_TRUE(first.has_value() && first->job2.has_value());
+  ASSERT_TRUE(second.has_value() && second->job2.has_value());
+  expect_counts(scheduler, 1, 1);
+  EXPECT_EQ(scheduler.decision_cells(), 1u);
+  expect_bit_equal(second->allocation,
+                   allocator.allocate("igemm4", "stream", policy));
+  expect_bit_equal(first->allocation, second->allocation);
 }
 
 TEST(DecisionCache, KeyIsOrderAndPolicySensitive) {
+  // A cell is (pivot, candidate, slot): member order and the headroom's
+  // slot are part of its identity, headroom wobble within a slot is not.
   auto allocator = make_allocator();
-  DecisionCache cache;
-  const core::Policy p1 = core::Policy::problem1(230.0, 0.2);
-  const core::Policy p2 = core::Policy::problem2(0.2);
-  int computations = 0;
-  const auto compute_for = [&](const std::string& a, const std::string& b,
-                               const core::Policy& policy) {
-    return cache.get_or_compute(allocator.intern_app(a),
-                                allocator.intern_app(b), policy, [&] {
-                                  ++computations;
-                                  return allocator.allocate(a, b, policy);
-                                });
-  };
-  compute_for("igemm4", "stream", p1);
-  compute_for("stream", "igemm4", p1);  // member order is part of the identity
-  compute_for("igemm4", "stream", p2);
-  EXPECT_EQ(computations, 3);
-  EXPECT_EQ(cache.size(), 3u);
+  CoScheduler scheduler(allocator, core::Policy::problem2(0.2),
+                        pair_everything());
+  dispatch_pair(scheduler, "igemm4", "stream", kInf);
+  dispatch_pair(scheduler, "stream", "igemm4", kInf);
+  dispatch_pair(scheduler, "igemm4", "stream", 251.0);
+  dispatch_pair(scheduler, "igemm4", "stream", 211.0);
+  dispatch_pair(scheduler, "igemm4", "stream", 259.0);  // 251 W's level
+  dispatch_pair(scheduler, "stream", "igemm4", 1.0e9);  // ceiled, not inf
+  expect_counts(scheduler, 1, 5);
+  EXPECT_EQ(scheduler.decision_cells(), 5u);
+
+  // A fixed-cap policy has one more slot, "the fixed cap fits the
+  // headroom": inf | {230, 245, 1e9} | {229, 215} (the 210 W level).
+  CoScheduler fixed(allocator, core::Policy::problem1(230.0, 0.2),
+                    pair_everything());
+  for (const double headroom : {kInf, 230.0, 245.0, 1.0e9, 229.0, 215.0})
+    dispatch_pair(fixed, "igemm4", "stream", headroom);
+  expect_counts(fixed, 3, 3);
 }
 
 TEST(DecisionCache, InternedKeysMatchStringIdentityExactly) {
-  // Interning is injective, so two distinct names never share an id — and
-  // re-interning the same name always lands on the same entry.
+  // Interning is injective, so two distinct names never share a cell — and
+  // re-interning the same name always lands on the same one.
   auto allocator = make_allocator();
-  DecisionCache cache;
-  const core::Policy policy = core::Policy::problem2(0.2);
-  int computations = 0;
-  for (const char* a : {"igemm4", "stream", "igemm4"}) {
-    for (const char* b : {"stream", "kmeans"}) {
-      cache.get_or_compute(allocator.intern_app(a), allocator.intern_app(b),
-                           policy, [&] {
-                             ++computations;
-                             return allocator.allocate(a, b, policy);
-                           });
-    }
-  }
-  // 6 probes over 4 distinct (a, b) string pairs -> exactly 4 computes.
-  EXPECT_EQ(computations, 4);
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  CoScheduler scheduler(allocator, core::Policy::problem2(0.2),
+                        pair_everything());
+  for (const char* a : {"igemm4", "stream", "igemm4"})
+    for (const char* b : {"stream", "kmeans"}) dispatch_pair(scheduler, a, b);
+  expect_counts(scheduler, 2, 4);  // 6 probes over 4 distinct pairs
+  EXPECT_EQ(scheduler.decision_cells(), 4u);
 }
 
 TEST(DecisionCache, InvalidateDropsEntriesAndCounts) {
   auto allocator = make_allocator();
-  DecisionCache cache;
-  const core::Policy policy = core::Policy::problem2(0.2);
-  const Symbol igemm4 = allocator.intern_app("igemm4");
-  const Symbol stream = allocator.intern_app("stream");
-  cache.get_or_compute(igemm4, stream, policy,
-                       [&] { return allocator.allocate("igemm4", "stream", policy); });
-  EXPECT_EQ(cache.size(), 1u);
-  cache.invalidate();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  cache.get_or_compute(igemm4, stream, policy,
-                       [&] { return allocator.allocate("igemm4", "stream", policy); });
-  EXPECT_EQ(cache.stats().misses, 2u);
+  CoScheduler scheduler(allocator, core::Policy::problem2(0.2),
+                        pair_everything());
+  dispatch_pair(scheduler, "igemm4", "stream");
+  dispatch_pair(scheduler, "igemm4", "stream", 251.0);
+  EXPECT_EQ(scheduler.decision_cells(), 2u);
+  scheduler.record_profile(scheduler.intern_app("fresh-app"),
+                           profile_of("lud"));
+  EXPECT_EQ(scheduler.decision_cells(), 0u);
+  EXPECT_EQ(scheduler.cap_curves(), 0u);
+  dispatch_pair(scheduler, "igemm4", "stream", 251.0);  // served, then cleared
+  expect_counts(scheduler, 0, 3);
 }
 
-TEST(DecisionCache, EvictsLeastRecentlyUsedAtCapacity) {
-  DecisionCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  SymbolTable table;
-  const core::Policy policy = core::Policy::problem2(0.2);
-  int computations = 0;
-  const auto fetch = [&](const std::string& a, const std::string& b) {
-    cache.get_or_compute(table.intern(a), table.intern(b), policy, [&] {
-      ++computations;
-      return core::Decision{};
-    });
-  };
-  fetch("a", "b");      // miss -> {ab}
-  fetch("c", "d");      // miss -> {ab, cd}
-  fetch("a", "b");      // hit: ab becomes most recent
-  fetch("e", "f");      // miss at capacity -> evicts cd (the LRU), not ab
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  fetch("a", "b");      // still resident
-  EXPECT_EQ(computations, 3);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  fetch("c", "d");      // was evicted: recomputed, evicting ab's partner ef
-  EXPECT_EQ(computations, 4);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(DecisionCache, CapacityOneStillServesRepeats) {
-  DecisionCache cache(1);
-  SymbolTable table;
-  const core::Policy policy = core::Policy::problem2(0.2);
-  int computations = 0;
-  const auto fetch = [&](const std::string& a) {
-    cache.get_or_compute(table.intern(a), table.intern("x"), policy, [&] {
-      ++computations;
-      return core::Decision{};
-    });
-  };
-  fetch("a");
-  fetch("a");  // hit
-  EXPECT_EQ(cache.stats().hits, 1u);
-  fetch("b");  // evicts a
-  fetch("a");  // recompute
-  EXPECT_EQ(computations, 3);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(DecisionCache, InvalidateResetsRecencyBookkeeping) {
-  DecisionCache cache(2);
-  SymbolTable table;
-  const core::Policy policy = core::Policy::problem2(0.2);
-  const auto fetch = [&](const std::string& a) {
-    cache.get_or_compute(table.intern(a), table.intern("x"), policy,
-                         [] { return core::Decision{}; });
-  };
-  fetch("a");
-  fetch("b");
-  cache.invalidate();
-  EXPECT_EQ(cache.size(), 0u);
-  // A full refill after invalidate must not evict (the list was cleared too).
-  fetch("c");
-  fetch("d");
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(DecisionCache, ZeroCapacityRejected) {
-  EXPECT_THROW(DecisionCache cache(0), ContractViolation);
+TEST(DecisionCache, HitsAndMissesMatchAnUnboundedSetOverTheOldKey) {
+  // Hits and misses must be those of a std::set over the retired cache's
+  // key (pivot, candidate, ceiling rounded down to the dispatch cap). A
+  // budget-walk trace keeps the queue deeper than the window; the headroom,
+  // a node's share of the budget (25 W steps) plus a [-9, +12] W wobble,
+  // crosses levels and both sides of the fixed cap and of 250 W.
+  const int nodes = 4;
+  const std::size_t window = SchedulerTuning{}.pairing_window;
+  const trace::Trace job_trace = trace::make_regime_trace(
+      trace::ReplayRegime::BudgetWalk, 3000, nodes, 7,
+      test::shared_registry().names());
+  for (const core::Policy& policy :
+       {trace::regime_policy(trace::ReplayRegime::BudgetWalk),
+        core::Policy::problem1(230.0, 0.2)}) {
+    auto allocator = make_allocator();
+    const std::vector<double>& levels = allocator.optimizer().ceiling_levels();
+    CoScheduler scheduler(allocator, policy);
+    std::set<std::tuple<AppId, AppId, double>> served;  // inf = unceiled
+    std::set<double> ceilings;
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    double headroom = kInf;
+    JobQueue queue;
+    int id = 0;
+    for (const trace::TraceEvent& event : job_trace.events) {
+      if (event.kind == trace::EventKind::PowerBudget) {
+        headroom = event.budget_watts > 0.0 ? event.budget_watts / nodes : kInf;
+        continue;
+      }
+      queue.push(make_job(scheduler, id++, event.app));
+      while (queue.size() > 2 * window) {
+        const double room = headroom + 3.0 * (id % 8) - 9.0;
+        if (room < levels.front()) break;
+        const AppId pivot = queue.peek(0).app_id;
+        const double ceiling =
+            !std::isfinite(room) ? kInf
+            : policy.fixed_power_cap.value_or(kInf) <= room
+                ? *policy.fixed_power_cap
+                : levels[static_cast<std::size_t>(
+                      allocator.optimizer().ceiling_level(room))];
+        for (std::size_t i = 1; i <= window; ++i) {
+          const AppId candidate = queue.peek(i).app_id;
+          if (!allocator.can_coschedule(pivot) ||
+              !allocator.can_coschedule(candidate))
+            continue;
+          ceilings.insert(ceiling);
+          ++(served.insert({pivot, candidate, ceiling}).second ? misses : hits);
+        }
+        const auto plan = scheduler.next(queue, 0.0, room);
+        ASSERT_TRUE(plan.has_value());
+        if (!plan->profile_run) continue;
+        const AppId app = plan->job1.app_id;
+        scheduler.record_profile(app, profile_of(scheduler.app_name(app)));
+        served.clear();
+      }
+    }
+    expect_counts(scheduler, hits, misses);
+    EXPECT_EQ(scheduler.decision_cells(), served.size());
+    EXPECT_GT(hits, misses);
+    EXPECT_GE(ceilings.size(), 5u);  // the walk crossed ceiling levels
+  }
 }
 
 TEST(CoSchedulerCache, RepeatedDispatchHitsTheCache) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
-  JobQueue queue;
-  queue.push(make_job(scheduler, 0, "igemm4"));
-  queue.push(make_job(scheduler, 1, "stream"));
-  const auto first = scheduler.next(queue, 0.0);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(first->job2.has_value());
-  EXPECT_EQ(scheduler.decision_cache().stats().hits, 0u);
-  const std::size_t misses = scheduler.decision_cache().stats().misses;
-  EXPECT_GT(misses, 0u);
-
-  // The same pair again: the allocator search is answered from the cache and
-  // the plan is identical.
-  queue.push(make_job(scheduler, 2, "igemm4"));
-  queue.push(make_job(scheduler, 3, "stream"));
-  const auto second = scheduler.next(queue, 0.0);
-  ASSERT_TRUE(second.has_value());
-  ASSERT_TRUE(second->job2.has_value());
-  EXPECT_GT(scheduler.decision_cache().stats().hits, 0u);
-  EXPECT_EQ(scheduler.decision_cache().stats().misses, misses);
-  expect_identical(second->allocation, first->allocation);
+  const auto first = dispatch_pair(scheduler, "igemm4", "stream");
+  const auto second = dispatch_pair(scheduler, "igemm4", "stream");
+  ASSERT_TRUE(first.has_value() && first->job2.has_value());
+  ASSERT_TRUE(second.has_value() && second->job2.has_value());
+  expect_counts(scheduler, 1, 1);
+  expect_bit_equal(second->allocation, first->allocation);
 }
 
 TEST(CoSchedulerCache, RecordProfileInvalidates) {
   auto allocator = make_allocator();
-  CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
-  JobQueue queue;
-  queue.push(make_job(scheduler, 0, "igemm4"));
-  queue.push(make_job(scheduler, 1, "stream"));
-  ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
-  EXPECT_GT(scheduler.decision_cache().size(), 0u);
-
-  const auto counters = prof::profile_run(
-      test::shared_chip(), test::shared_registry().by_name("lud").kernel);
-  scheduler.record_profile(scheduler.intern_app("fresh-app"), counters);
-  EXPECT_EQ(scheduler.decision_cache().size(), 0u);
-  EXPECT_GT(scheduler.decision_cache().stats().invalidations, 0u);
+  const core::Policy policy = core::Policy::problem1(230.0, 0.2);
+  CoScheduler scheduler(allocator, policy);
+  ASSERT_TRUE(dispatch_pair(scheduler, "igemm4", "stream").has_value());
+  EXPECT_EQ(scheduler.decision_cells(), 1u);
+  scheduler.record_profile(scheduler.intern_app("fresh-app"),
+                           profile_of("lud"));
+  EXPECT_EQ(scheduler.decision_cells(), 0u);
 
   // Post-invalidation decisions still equal a fresh allocator search.
-  queue.push(make_job(scheduler, 2, "igemm4"));
-  queue.push(make_job(scheduler, 3, "stream"));
-  const auto plan = scheduler.next(queue, 0.0);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_TRUE(plan->job2.has_value());
-  expect_identical(plan->allocation,
-                   allocator.allocate("igemm4", "stream",
-                                      core::Policy::problem1(230.0, 0.2)));
+  const auto plan = dispatch_pair(scheduler, "igemm4", "stream");
+  ASSERT_TRUE(plan.has_value() && plan->job2.has_value());
+  EXPECT_EQ(scheduler.decision_cells(), 1u);
+  expect_counts(scheduler, 0, 2);
+  expect_bit_equal(plan->allocation,
+                   allocator.allocate("igemm4", "stream", policy));
 }
 
 TEST(CoSchedulerCache, BudgetCeilingWobbleStillHitsTheCache) {
   // Under a cluster power budget the headroom ceiling varies continuously;
-  // ceilings admitting the same trained caps must share one cache entry,
-  // while the dispatched decision stays identical to an exact fresh search.
+  // ceilings admitting the same trained caps must share one cell, while the
+  // dispatched decision stays identical to an exact fresh search.
   auto allocator = make_allocator();
-  SchedulerTuning tuning;
-  tuning.min_pair_speedup = 0.0;  // accept the pair so both jobs dequeue
-  CoScheduler scheduler(allocator, core::Policy::problem2(0.2), tuning);
-  JobQueue queue;
-  queue.push(make_job(scheduler, 0, "igemm4"));
-  queue.push(make_job(scheduler, 1, "stream"));
-  const auto first = scheduler.next(queue, 0.0, 251.3);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(first->job2.has_value());
-  const std::size_t misses = scheduler.decision_cache().stats().misses;
-  EXPECT_GT(misses, 0u);
-
-  queue.push(make_job(scheduler, 2, "igemm4"));
-  queue.push(make_job(scheduler, 3, "stream"));
-  const auto plan = scheduler.next(queue, 0.0, 260.7);  // same admissible caps
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_TRUE(plan->job2.has_value());
-  EXPECT_EQ(scheduler.decision_cache().stats().misses, misses);
-  EXPECT_GT(scheduler.decision_cache().stats().hits, 0u);
-  expect_identical(
-      plan->allocation,
-      allocator.allocate("igemm4", "stream",
-                         core::Policy::problem2(0.2).with_ceiling(260.7)));
+  const core::Policy policy = core::Policy::problem2(0.2);
+  CoScheduler scheduler(allocator, policy, pair_everything());
+  const auto first = dispatch_pair(scheduler, "igemm4", "stream", 251.3);
+  ASSERT_TRUE(first.has_value() && first->job2.has_value());
+  const auto plan = dispatch_pair(scheduler, "igemm4", "stream", 260.7);
+  ASSERT_TRUE(plan.has_value() && plan->job2.has_value());
+  expect_counts(scheduler, 1, 1);
+  expect_bit_equal(plan->allocation,
+                   allocator.allocate("igemm4", "stream",
+                                      policy.with_ceiling(260.7)));
 }
 
 TEST(CoSchedulerCache, DirectAllocatorMutationIsDetectedByRevision) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
-  JobQueue queue;
-  queue.push(make_job(scheduler, 0, "igemm4"));
-  queue.push(make_job(scheduler, 1, "stream"));
-  ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
-  EXPECT_GT(scheduler.decision_cache().size(), 0u);
+  dispatch_pair(scheduler, "igemm4", "stream");
+  dispatch_pair(scheduler, "kmeans", "stream");
+  EXPECT_EQ(scheduler.decision_cells(), 2u);
 
   // Recording through the allocator (bypassing the scheduler) bumps the
-  // profile store's revision; the next dispatch must notice and invalidate.
-  const auto counters = prof::profile_run(
-      test::shared_chip(), test::shared_registry().by_name("lud").kernel);
-  allocator.record_profile("side-channel-app", counters);
-  queue.push(make_job(scheduler, 2, "igemm4"));
-  queue.push(make_job(scheduler, 3, "stream"));
-  ASSERT_TRUE(scheduler.next(queue, 0.0).has_value());
-  EXPECT_GT(scheduler.decision_cache().stats().invalidations, 0u);
+  // profile store's revision; the next dispatch must clear the table first.
+  allocator.record_profile("side-channel-app", profile_of("lud"));
+  dispatch_pair(scheduler, "igemm4", "stream");
+  EXPECT_EQ(scheduler.decision_cells(), 1u);
+  expect_counts(scheduler, 0, 3);
 }
 
 TEST(CoSchedulerCapCurves, MemoPathMatchesAFreshSearchForEveryRegistryPair) {
-  // Under a budget ceiling a free-cap DecisionCache miss reads the pair's
-  // cap curve instead of searching. Every (pivot, partner) pair of the
-  // registry, both objectives, a fairness margin, and ceilings on, between,
-  // below and above the grid: the dispatched decision must be bit-equal to
-  // a fresh search under the exact ceiling (an infeasible one must leave
-  // the pivot exclusive).
+  // Every served cell must equal a fresh search under the probe's exact
+  // policy, for every ordered registry pair and every kind of slot. Free-cap
+  // policies (both objectives, a fairness margin) fill their ceiled cells
+  // from the pair's cap curve; fixed caps (trained grid caps) have a "fits"
+  // cell for headrooms at or above the cap and degrade to the best trained
+  // cap below it. Headrooms lie on, between, below and above the levels,
+  // plus unceiled; each is probed twice, so the second probe reads the
+  // served cell back. A feasible decision pairs bit-equal to the fresh
+  // one; an infeasible one leaves the pivot exclusive.
   auto allocator = make_allocator();
   const std::vector<double>& levels = allocator.optimizer().ceiling_levels();
-  std::vector<double> ceilings = {levels.front() - 1.0,
-                                  std::numeric_limits<double>::infinity()};
+  std::vector<double> headrooms = {levels.front() - 1.0, kInf,
+                                   levels.back() + 40.0};
   for (std::size_t k = 0; k < levels.size(); ++k) {
-    ceilings.push_back(levels[k]);
+    headrooms.push_back(levels[k]);
     if (k + 1 < levels.size())
-      ceilings.push_back(0.5 * (levels[k] + levels[k + 1]));
+      headrooms.push_back(0.5 * (levels[k] + levels[k + 1]));
   }
-  SchedulerTuning tuning;
-  tuning.min_pair_speedup = 0.0;  // every feasible decision pairs
+  std::vector<core::Policy> policies = {core::Policy::problem2(0.2),
+                                        core::Policy::problem2(0.2),
+                                        core::Policy::problem1(230.0, 0.2),
+                                        core::Policy::problem1(170.0, 0.2)};
+  policies[0].objective = core::PolicyObjective::Throughput;
+  policies[0].fairness_margin = policies[1].fairness_margin = 0.05;
+
   std::size_t paired = 0;
   std::size_t exclusive = 0;
-  for (const auto objective : {core::PolicyObjective::Throughput,
-                               core::PolicyObjective::EnergyEfficiency}) {
-    core::Policy policy = core::Policy::problem2(0.2);
-    policy.objective = objective;
-    policy.fairness_margin = 0.05;
-    CoScheduler scheduler(allocator, policy, tuning);
-    JobQueue queue;
+  for (const core::Policy& policy : policies) {
+    CoScheduler scheduler(allocator, policy, pair_everything());
+    std::size_t probes = 0;
     for (const auto& pivot : test::shared_registry().all()) {
       for (const auto& partner : test::shared_registry().all()) {
         const std::string& app1 = pivot.kernel.name;
         const std::string& app2 = partner.kernel.name;
-        for (const double ceiling : ceilings) {
-          SCOPED_TRACE(app1 + "+" + app2 + " @ " + std::to_string(ceiling));
-          queue.clear();
-          queue.push(make_job(scheduler, 0, app1));
-          queue.push(make_job(scheduler, 1, app2));
-          const auto plan = scheduler.next(queue, 0.0, ceiling);
-          if (ceiling < levels.front()) {
-            EXPECT_FALSE(plan.has_value());  // budget below every cap
-            continue;
+        for (int round = 0; round < 2; ++round) {
+          for (const double headroom : headrooms) {
+            SCOPED_TRACE(app1 + "+" + app2 + " @ " + std::to_string(headroom) +
+                         " fixed " +
+                         std::to_string(policy.fixed_power_cap.value_or(0.0)));
+            const auto plan = dispatch_pair(scheduler, app1, app2, headroom);
+            if (headroom < levels.front()) {
+              EXPECT_FALSE(plan.has_value());  // budget below every cap
+              continue;
+            }
+            ++probes;
+            ASSERT_TRUE(plan.has_value());
+            const core::Decision fresh = allocator.allocate(
+                app1, app2,
+                std::isfinite(headroom) ? policy.with_ceiling(headroom)
+                                        : policy);
+            ASSERT_EQ(plan->job2.has_value(), fresh.feasible);
+            ++(fresh.feasible ? paired : exclusive);
+            if (!fresh.feasible) continue;
+            expect_bit_equal(plan->allocation, fresh);
+            EXPECT_EQ(plan->power_cap_watts, fresh.power_cap_watts);
           }
-          ASSERT_TRUE(plan.has_value());
-          const core::Decision fresh =
-              allocator.allocate(app1, app2, policy.with_ceiling(ceiling));
-          ASSERT_EQ(plan->job2.has_value(), fresh.feasible);
-          if (!fresh.feasible) {
-            ++exclusive;
-            continue;
-          }
-          ++paired;
-          expect_identical(plan->allocation, fresh);
-          EXPECT_EQ(plan->power_cap_watts, fresh.power_cap_watts);
         }
       }
     }
-    EXPECT_GT(scheduler.cap_curves(), 0u);
+    // Each cell missed once, when first served; the second round all hits.
+    EXPECT_EQ(scheduler.decision_stats().misses, scheduler.decision_cells());
+    EXPECT_EQ(scheduler.decision_stats().hits +
+                  scheduler.decision_stats().misses,
+              probes);
+    EXPECT_GE(scheduler.decision_stats().hits, probes / 2);
+    // Only free-cap policies build curves.
+    EXPECT_EQ(scheduler.cap_curves() > 0, !policy.fixed_power_cap.has_value());
   }
   EXPECT_GT(paired, 0u);
   EXPECT_GT(exclusive, 0u);
@@ -391,26 +334,16 @@ TEST(CoSchedulerCapCurves, MemoPathMatchesAFreshSearchForEveryRegistryPair) {
 
 TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
   auto allocator = make_allocator();
-  SchedulerTuning tuning;
-  tuning.min_pair_speedup = 0.0;
   const core::Policy policy = core::Policy::problem2(0.2);
-  CoScheduler scheduler(allocator, policy, tuning);
-  JobQueue queue;
+  CoScheduler scheduler(allocator, policy, pair_everything());
   const auto dispatch = [&](double ceiling) {
-    queue.clear();
-    queue.push(make_job(scheduler, 0, "igemm4"));
-    queue.push(make_job(scheduler, 1, "stream"));
-    return scheduler.next(queue, 0.0, ceiling);
-  };
-  const auto profile_of = [](const char* app) {
-    return prof::profile_run(test::shared_chip(),
-                             test::shared_registry().by_name(app).kernel);
+    return dispatch_pair(scheduler, "igemm4", "stream", ceiling);
   };
 
   ASSERT_TRUE(dispatch(251.0).has_value());
   EXPECT_EQ(scheduler.cap_curves(), 1u);
   // Unconstrained probes search directly and build no curve.
-  ASSERT_TRUE(dispatch(std::numeric_limits<double>::infinity()).has_value());
+  ASSERT_TRUE(dispatch(kInf).has_value());
   EXPECT_EQ(scheduler.cap_curves(), 1u);
 
   scheduler.record_profile(scheduler.intern_app("fresh-app"),
@@ -418,8 +351,8 @@ TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
   EXPECT_EQ(scheduler.cap_curves(), 0u);
 
   // Rebuild the curve, then re-profile a pair member behind the scheduler's
-  // back. A probe at another ceiling level misses the DecisionCache either
-  // way, so only a dropped curve makes it match a fresh search.
+  // back. The 211 W cell was filled by the curve but never served, so only
+  // a dropped curve makes the probe match a fresh search.
   ASSERT_TRUE(dispatch(251.0).has_value());
   EXPECT_EQ(scheduler.cap_curves(), 1u);
   const core::Decision before =
@@ -430,115 +363,9 @@ TEST(CoSchedulerCapCurves, RecordProfileAndRevisionBumpDropTheCurves) {
   ASSERT_NE(before.predicted.relperf_app1, after.predicted.relperf_app1);
   ASSERT_TRUE(after.feasible);
   const auto plan = dispatch(211.0);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_TRUE(plan->job2.has_value());
-  expect_identical(plan->allocation, after);
+  ASSERT_TRUE(plan.has_value() && plan->job2.has_value());
+  expect_bit_equal(plan->allocation, after);
   EXPECT_EQ(scheduler.cap_curves(), 1u);  // dropped, then rebuilt once
 }
 
-// The flat-map DecisionCache threads its LRU chain through slot ids instead
-// of a std::list of heap nodes. The contract is that the hit/miss/evict
-// *sequence* — and therefore every value the cache serves — is bit-identical
-// to the node-based implementation it replaced. This drives both in lockstep
-// over a randomized probe mix (with occasional invalidations) and checks
-// every probe's outcome, not just the final counters.
-TEST(DecisionCacheLru, SequenceMatchesNodeBasedReferenceBitForBit) {
-  struct RefKey {
-    Symbol app1 = kNoSymbol;
-    Symbol app2 = kNoSymbol;
-    PolicySignature policy;
-    bool operator==(const RefKey&) const = default;
-  };
-  struct RefKeyHash {
-    std::size_t operator()(const RefKey& key) const noexcept {
-      // The probe set varies only apps and alpha; a weak hash is fine — the
-      // reference's correctness never depends on hash quality.
-      return std::hash<double>{}(key.policy.alpha) ^
-             (std::size_t(key.app1) << 8) ^ std::size_t(key.app2);
-    }
-  };
-  // Node-based LRU with the exact shape of the old implementation:
-  // unordered_map for residency, std::list front=MRU, splice-to-front on
-  // hit, evict the back at capacity.
-  struct ReferenceLru {
-    std::size_t capacity;
-    std::list<RefKey> order;
-    std::unordered_map<RefKey, std::pair<double, std::list<RefKey>::iterator>,
-                       RefKeyHash>
-        map;
-    std::size_t hits = 0, misses = 0, evictions = 0;
-
-    std::pair<double, bool> get_or_compute(const RefKey& key, double fresh) {
-      if (auto it = map.find(key); it != map.end()) {
-        ++hits;
-        order.splice(order.begin(), order, it->second.second);
-        return {it->second.first, false};
-      }
-      ++misses;
-      if (map.size() >= capacity) {
-        map.erase(order.back());
-        order.pop_back();
-        ++evictions;
-      }
-      order.push_front(key);
-      map.emplace(key, std::make_pair(fresh, order.begin()));
-      return {fresh, true};
-    }
-    void invalidate() {
-      map.clear();
-      order.clear();
-    }
-  };
-
-  // Capacity 8 against 6 apps x 6 apps x 3 policies = 108 possible keys:
-  // the cache stays saturated, so eviction-victim choice is exercised on
-  // nearly every miss and any recency-order divergence surfaces within a
-  // handful of probes as a hit/miss mismatch.
-  constexpr std::size_t kCapacity = 8;
-  DecisionCache cache(kCapacity);
-  ReferenceLru ref{kCapacity, {}, {}};
-  const core::Policy policies[] = {core::Policy::problem2(0.1),
-                                   core::Policy::problem2(0.2),
-                                   core::Policy::problem2(0.3)};
-  Rng rng(2022);
-  std::uint64_t stamp = 0;
-  std::size_t invalidations = 0;
-
-  for (int probe = 0; probe < 20000; ++probe) {
-    if (rng.bounded(512) == 0) {
-      cache.invalidate();
-      ref.invalidate();
-      ++invalidations;
-      ASSERT_EQ(cache.size(), 0u);
-    }
-    const Symbol app1 = static_cast<Symbol>(rng.bounded(6));
-    const Symbol app2 = static_cast<Symbol>(rng.bounded(6));
-    const core::Policy& policy = policies[rng.bounded(3)];
-    // Every miss stores a unique stamp, so serving a stale entry — or
-    // evicting the wrong victim and recomputing where the reference hits —
-    // shows up as a value mismatch, not just a counter drift.
-    const double fresh = static_cast<double>(++stamp);
-    bool computed = false;
-    const core::Decision& got =
-        cache.get_or_compute(app1, app2, policy, [&] {
-          computed = true;
-          core::Decision decision;
-          decision.objective_value = fresh;
-          return decision;
-        });
-    const auto [ref_value, ref_computed] = ref.get_or_compute(
-        RefKey{app1, app2, PolicySignature::of(policy)}, fresh);
-    ASSERT_EQ(computed, ref_computed) << "probe " << probe;
-    ASSERT_EQ(got.objective_value, ref_value) << "probe " << probe;
-    ASSERT_EQ(cache.stats().hits, ref.hits) << "probe " << probe;
-    ASSERT_EQ(cache.stats().misses, ref.misses) << "probe " << probe;
-    ASSERT_EQ(cache.stats().evictions, ref.evictions) << "probe " << probe;
-    ASSERT_EQ(cache.size(), ref.map.size()) << "probe " << probe;
-  }
-  EXPECT_EQ(cache.stats().invalidations, invalidations);
-  EXPECT_GT(ref.hits, 0u);
-  EXPECT_GT(ref.evictions, 0u);
-}
-
-}  // namespace
 }  // namespace migopt::sched

@@ -1,8 +1,11 @@
 // Shared fixtures: a process-wide simulated device, workload registry, and
 // (lazily) trained artifacts, so the many tests that need them do not redo
-// the expensive setup.
+// the expensive setup; plus a bit-equality check for optimizer decisions.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include "core/optimizer.hpp"
 #include "core/trainer.hpp"
 #include "gpusim/gpu.hpp"
 #include "workloads/corun_pairs.hpp"
@@ -42,6 +45,21 @@ inline const core::TrainedArtifacts& shared_flexible_artifacts() {
                                config);
   }();
   return artifacts;
+}
+
+/// Every field of two optimizer decisions is bit-equal.
+inline void expect_bit_equal(const core::Decision& a, const core::Decision& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_TRUE(a.state == b.state);
+  EXPECT_EQ(a.power_cap_watts, b.power_cap_watts);
+  EXPECT_EQ(a.objective_value, b.objective_value);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.predicted.relperf_app1, b.predicted.relperf_app1);
+  EXPECT_EQ(a.predicted.relperf_app2, b.predicted.relperf_app2);
+  EXPECT_EQ(a.predicted.throughput, b.predicted.throughput);
+  EXPECT_EQ(a.predicted.fairness, b.predicted.fairness);
+  EXPECT_EQ(a.predicted.power_cap_watts, b.predicted.power_cap_watts);
+  EXPECT_EQ(a.predicted.energy_efficiency, b.predicted.energy_efficiency);
 }
 
 }  // namespace migopt::test

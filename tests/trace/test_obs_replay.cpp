@@ -167,8 +167,6 @@ void expect_reports_bit_identical(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.cluster.profile_runs, b.cluster.profile_runs);
   EXPECT_EQ(a.cluster.decision_cache_hits, b.cluster.decision_cache_hits);
   EXPECT_EQ(a.cluster.decision_cache_misses, b.cluster.decision_cache_misses);
-  EXPECT_EQ(a.cluster.decision_cache_evictions,
-            b.cluster.decision_cache_evictions);
   EXPECT_EQ(a.cluster.mean_turnaround, b.cluster.mean_turnaround);
   EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());

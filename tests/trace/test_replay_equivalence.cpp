@@ -32,16 +32,13 @@ constexpr int kNodes = 8;
 constexpr std::uint64_t kSeed = 7;
 
 /// Mirror of the ext_trace_replay bench environment for one regime.
-SimReport run_regime(ReplayRegime regime, std::size_t cache_capacity,
-                     sched::EventCore core, std::uint64_t seed = kSeed,
-                     std::size_t jobs = kJobs) {
+SimReport run_regime(ReplayRegime regime, sched::EventCore core,
+                     std::uint64_t seed = kSeed, std::size_t jobs = kJobs) {
   gpusim::GpuChip chip;
   const wl::WorkloadRegistry registry(chip.arch());
   auto allocator =
       core::ResourcePowerAllocator::train(chip, registry, wl::table8_pairs());
-  sched::SchedulerTuning tuning;
-  if (cache_capacity > 0) tuning.decision_cache_capacity = cache_capacity;
-  sched::CoScheduler scheduler(allocator, regime_policy(regime), tuning);
+  sched::CoScheduler scheduler(allocator, regime_policy(regime));
 
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = kNodes;
@@ -64,8 +61,6 @@ void expect_same_schedule(const SimReport& a, const SimReport& b) {
   EXPECT_EQ(a.cluster.profile_runs, b.cluster.profile_runs);
   EXPECT_EQ(a.cluster.decision_cache_hits, b.cluster.decision_cache_hits);
   EXPECT_EQ(a.cluster.decision_cache_misses, b.cluster.decision_cache_misses);
-  EXPECT_EQ(a.cluster.decision_cache_evictions,
-            b.cluster.decision_cache_evictions);
   EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
   EXPECT_EQ(a.deadline_misses, b.deadline_misses);
   EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
@@ -149,8 +144,6 @@ void expect_matches_baseline(const SimReport& sim, const std::string& title) {
                           : static_cast<double>(cluster.decision_cache_hits) /
                                 probes,
             summary_of(section, "cache_hit_rate"));
-  EXPECT_EQ(static_cast<double>(cluster.decision_cache_evictions),
-            summary_of(section, "cache_evictions"));
   EXPECT_EQ(cluster.peak_cap_sum_watts, summary_of(section, "peak_cap_sum_w"));
   EXPECT_EQ(cluster.total_energy_joules / 1.0e6,
             summary_of(section, "energy_MJ"));
@@ -179,23 +172,11 @@ void expect_matches_baseline(const SimReport& sim, const std::string& title) {
 
 TEST(ReplayEquivalence, PoissonRegimePinsBaselineAndBothPaths) {
   const SimReport exact =
-      run_regime(ReplayRegime::Poisson, 0, sched::EventCore::Exact);
+      run_regime(ReplayRegime::Poisson, sched::EventCore::Exact);
   expect_matches_baseline(exact, "poisson 10k jobs");
 
   const SimReport indexed =
-      run_regime(ReplayRegime::Poisson, 0, sched::EventCore::Indexed);
-  expect_same_schedule(exact, indexed);
-}
-
-TEST(ReplayEquivalence, CachePressureRegimePinsBaselineAndBothPaths) {
-  // 48-entry cache: the LRU eviction sequence under interned keys must
-  // reproduce the baseline eviction for eviction.
-  const SimReport exact =
-      run_regime(ReplayRegime::Poisson, 48, sched::EventCore::Exact);
-  expect_matches_baseline(exact, "poisson 10k jobs, 48-entry cache");
-
-  const SimReport indexed =
-      run_regime(ReplayRegime::Poisson, 48, sched::EventCore::Indexed);
+      run_regime(ReplayRegime::Poisson, sched::EventCore::Indexed);
   expect_same_schedule(exact, indexed);
 }
 
@@ -203,11 +184,11 @@ TEST(ReplayEquivalence, BudgetWalkRegimePinsBaselineAndIndexedCore) {
   // The budget walk exercises the incremental busy-cap accounting: the
   // index-ordered busy-set sum must reproduce the all-node scan bit-exactly.
   const SimReport exact =
-      run_regime(ReplayRegime::BudgetWalk, 0, sched::EventCore::Exact);
+      run_regime(ReplayRegime::BudgetWalk, sched::EventCore::Exact);
   expect_matches_baseline(exact, "budget-walk 10k jobs");
 
   const SimReport indexed =
-      run_regime(ReplayRegime::BudgetWalk, 0, sched::EventCore::Indexed);
+      run_regime(ReplayRegime::BudgetWalk, sched::EventCore::Indexed);
   expect_same_schedule(exact, indexed);
 }
 
@@ -216,9 +197,9 @@ TEST(ReplayEquivalence, BurstyRegimeIndexedCoreMatchesExact) {
   // must drain in node-index order under the heap exactly as the node scan
   // drains them.
   const SimReport exact =
-      run_regime(ReplayRegime::Bursty, 0, sched::EventCore::Exact);
+      run_regime(ReplayRegime::Bursty, sched::EventCore::Exact);
   const SimReport indexed =
-      run_regime(ReplayRegime::Bursty, 0, sched::EventCore::Indexed);
+      run_regime(ReplayRegime::Bursty, sched::EventCore::Indexed);
   expect_same_schedule(exact, indexed);
 }
 
@@ -228,23 +209,12 @@ TEST(ReplayEquivalence, IndexedCoreHoldsOverRandomizedTraces) {
   // change a decision.
   for (const std::uint64_t seed : {101u, 202u, 303u, 404u}) {
     SCOPED_TRACE(seed);
-    const SimReport exact = run_regime(ReplayRegime::Bursty, 0,
-                                       sched::EventCore::Exact, seed,
-                                       /*jobs=*/2000);
-    const SimReport indexed = run_regime(ReplayRegime::Bursty, 0,
-                                         sched::EventCore::Indexed, seed,
-                                         /*jobs=*/2000);
+    const SimReport exact = run_regime(
+        ReplayRegime::Bursty, sched::EventCore::Exact, seed, /*jobs=*/2000);
+    const SimReport indexed = run_regime(
+        ReplayRegime::Bursty, sched::EventCore::Indexed, seed, /*jobs=*/2000);
     expect_same_schedule(exact, indexed);
   }
-  // Cache pressure changes the dispatch sequence; the equivalence must not
-  // depend on a cold, never-evicting cache.
-  const SimReport exact = run_regime(ReplayRegime::Poisson, 48,
-                                     sched::EventCore::Exact, 11,
-                                     /*jobs=*/2000);
-  const SimReport indexed = run_regime(ReplayRegime::Poisson, 48,
-                                       sched::EventCore::Indexed, 11,
-                                       /*jobs=*/2000);
-  expect_same_schedule(exact, indexed);
 }
 
 }  // namespace
