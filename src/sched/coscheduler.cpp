@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/assert.hpp"
+#include "common/string_util.hpp"
 
 namespace migopt::sched {
 
@@ -20,6 +21,17 @@ CoScheduler::CoScheduler(core::ResourcePowerAllocator& allocator,
   MIGOPT_REQUIRE(tuning_.duration_benefit_margin >= 0.0 &&
                      tuning_.duration_benefit_margin < 1.0,
                  "duration benefit margin out of [0,1)");
+  // The model has coefficients only at the trained caps: an off-grid fixed
+  // cap would otherwise pass here and throw from deep inside the first
+  // pairing probe.
+  if (policy_.fixed_power_cap.has_value()) {
+    const std::vector<double>& caps = allocator.optimizer().caps();
+    MIGOPT_REQUIRE(std::find(caps.begin(), caps.end(),
+                             *policy_.fixed_power_cap) != caps.end(),
+                   "fixed power cap " +
+                       str::format_exact(*policy_.fixed_power_cap) +
+                       " W is not a trained grid cap");
+  }
 }
 
 bool CoScheduler::pair_acceptable(const Job& pivot, const Job& candidate,

@@ -63,7 +63,8 @@ struct SchedulerTuning {
 class CoScheduler {
  public:
   /// `allocator` must outlive the scheduler; it is mutated when profile runs
-  /// complete (record_profile).
+  /// complete (record_profile). A fixed-cap policy must name one of the
+  /// optimizer's trained caps (ContractViolation otherwise).
   CoScheduler(core::ResourcePowerAllocator& allocator, core::Policy policy,
               SchedulerTuning tuning = {});
 

@@ -18,14 +18,18 @@
 // Routing runs before replay on purpose: placement decisions depend only on
 // the arrival stream and the router's deterministic open-loop load model
 // (per-cluster backlog of assigned solo work, drained at node capacity), so
-// the plan is fixed *data* once routing ends. FleetEngine then replays the
-// shards as truly independent SimEngine sessions — each shard owns its
-// scheduler, allocator state, and cluster; the trained model is built once
-// and copied per shard (training is deterministic, so this is bit-identical
-// to training per shard); nothing mutable is shared — fanned out over a
-// ThreadPool. Per-shard results land in pre-sized slots and merge in
-// cluster-index order, so any thread count is bit-identical to serial.
-// Per-shard seeds are derived SplitMix64 streams of the fleet seed
+// the plan is fixed *data* once routing ends. The routing pass itself is a
+// two-stage pipeline: helper threads validate the trace, intern tenants and
+// compact events chunk by chunk into a small ring of 24-byte records while
+// the calling thread routes the chunk before; only the load model stays
+// serial. FleetEngine then replays the shards as truly independent
+// SimEngine sessions — each shard owns its scheduler, allocator state, and
+// cluster; the trained model is built once and copied per shard (training
+// is deterministic, so this is bit-identical to training per shard);
+// nothing mutable is shared — fanned out over a ThreadPool, longest shard
+// (most routed jobs) first. Per-shard results land in pre-sized slots and
+// merge in cluster-index order, so any thread count is bit-identical to
+// serial. Per-shard seeds are derived SplitMix64 streams of the fleet seed
 // (common/rng stream_seed), recorded in the report so shard-local
 // stochastic components stay reproducible.
 //
@@ -126,6 +130,14 @@ class FleetRouter {
   /// load model: the chosen cluster's backlog grows by `work_seconds`.
   /// Deterministic and allocation-free.
   int route(std::uint64_t tenant_key, double now_seconds, double work_seconds);
+
+  /// The tenant-affinity home cluster of `tenant_key` (salted hash).
+  int home_cluster(std::uint64_t tenant_key) const noexcept;
+
+  /// route() with the home cluster already known (home_cluster(key); only
+  /// TenantAffinity reads it): a caller that routes many jobs per tenant
+  /// hashes each tenant once.
+  int route_home(int home, double now_seconds, double work_seconds);
 
   /// Split a fleet-level budget across clusters at `now`. Uniform gives
   /// every cluster an equal share; DemandProportional floors every cluster
@@ -283,23 +295,35 @@ struct FleetReport {
 
 class FleetEngine {
  public:
+  /// Fleet events per chunk of plan()'s pipelined pre-pass: the unit a
+  /// helper validates, interns and compacts while the router works on the
+  /// chunk before it.
+  static constexpr std::size_t kPlanChunkEvents = 4096;
+
   explicit FleetEngine(FleetConfig config);
 
   const FleetConfig& config() const noexcept { return config_; }
 
-  /// The admission pre-pass alone: route every arrival, split every budget
-  /// event, return the index-based plan plus router statistics (with
-  /// decision latency when configured). Serial and deterministic; the plan
-  /// views `fleet_trace` and must not outlive it.
+  /// The admission pre-pass alone: validate the trace, route every
+  /// arrival, split every budget event, return the index-based plan plus
+  /// router statistics (with decision latency when configured). Pipelined:
+  /// up to two helper threads (within `config.threads`) validate, intern
+  /// and compact kPlanChunkEvents-event chunks a few chunks ahead while
+  /// this thread routes; `threads == 1` runs the same stages chunk by chunk
+  /// on this thread. The plan is identical for any thread count, and an
+  /// invalid trace throws exactly Trace::validate's error for its first
+  /// invalid event. The plan views `fleet_trace` and must not outlive it.
   RoutePlan plan(const Trace& fleet_trace) const;
 
   /// plan() + replay every shard through its own SimEngine session over
-  /// `config.threads` workers, then merge. Shards iterate the plan's index
-  /// spans over the shared fleet trace (no per-shard copies); the allocator
-  /// is trained once and copied per shard (deterministic training makes
-  /// that bit-identical to training per shard). Bit-identical for any
-  /// thread count. Throws ContractViolation wherever a single-cluster
-  /// replay would (unsorted trace, unknown app, stalled shard, ...).
+  /// `config.threads` workers (shards with the most routed jobs start
+  /// first), then merge in cluster-index order. Shards iterate the plan's
+  /// index spans over the shared fleet trace (no per-shard copies); the
+  /// allocator is trained once and copied per shard (deterministic
+  /// training makes that bit-identical to training per shard).
+  /// Bit-identical for any thread count. Throws ContractViolation wherever
+  /// a single-cluster replay would (unsorted trace, unknown app, stalled
+  /// shard, ...).
   FleetReport replay(const Trace& fleet_trace) const;
 
  private:

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/prefetch.hpp"
 
 namespace migopt::trace {
 
@@ -82,6 +83,7 @@ struct TraceSource {
     if (!t.events.empty()) head_time = t.events.front().time_seconds;
   }
 
+  std::size_t event_count() const { return trace.events.size(); }
   std::size_t job_count() const { return trace.job_count(); }
   std::size_t tenant_hint() const { return 16; }
   double horizon() const {
@@ -119,10 +121,20 @@ struct RoutedSource {
   /// fresh cache line). One load instead.
   double head_time = kInf;
 
+  /// Steps ahead of the head that pop() prefetches. A shard reads every
+  /// Nth event of the shared fleet array, so each step is a cold line the
+  /// hardware prefetcher cannot predict. On a 4-vCPU Xeon VM 8 and 16
+  /// steps cut fleet replay time alike (~20% at two shard workers) and
+  /// 32 less so.
+  static constexpr std::size_t kPrefetchDistance = 16;
+
   explicit RoutedSource(const RoutedShard& s) : shard(s) {
     if (!s.steps.empty()) head_time = step_time(s.steps.front());
+    const std::size_t warm = std::min(kPrefetchDistance, s.steps.size());
+    for (std::size_t i = 0; i < warm; ++i) prefetch_step(s.steps[i]);
   }
 
+  std::size_t event_count() const { return shard.steps.size(); }
   std::size_t job_count() const { return shard.job_count; }
   std::size_t tenant_hint() const { return shard.tenant_names.size(); }
   double horizon() const {
@@ -135,8 +147,20 @@ struct RoutedSource {
                ? shard.shares[step & ~RoutedShard::kShareBit].time_seconds
                : shard.fleet->events[step].time_seconds;
   }
+  /// Prefetch what pop() will read of `step`: the fleet event (every line
+  /// it spans; the shard's shares are a small hot array) and its tenant.
+  /// Always inlined, like prefetch_read: GCC deletes a call to a function
+  /// that only prefetches as dead code.
+  [[gnu::always_inline]] void prefetch_step(
+      std::uint32_t step) const noexcept {
+    if (step & RoutedShard::kShareBit) return;
+    prefetch_read(&shard.fleet->events[step], sizeof(TraceEvent));
+    prefetch_read(&shard.event_tenants[step], sizeof(Symbol));
+  }
   double next_time() const { return head_time; }
   EventView pop() {
+    if (next + kPrefetchDistance < shard.steps.size())
+      prefetch_step(shard.steps[next + kPrefetchDistance]);
     const std::uint32_t step = shard.steps[next++];
     head_time =
         next < shard.steps.size() ? step_time(shard.steps[next]) : kInf;
@@ -159,6 +183,24 @@ struct RoutedSource {
   }
   std::string tenant_name(Symbol id) const { return shard.tenant_names[id]; }
 };
+
+/// Rows to reserve for a telemetry series. Sample times land on event-loop
+/// steps, at most one row per step, so the series is bounded by the trace
+/// horizon over the interval (plus the t=0 and final-step samples) and by
+/// the step count: about one step per trace event plus one per completion
+/// (faults add steps, and the series then grows past this hint). Clamped
+/// in double, so a tiny interval never becomes a huge or overflowing
+/// reservation. Out of line: it runs once, and the replay loop's code
+/// stays as it was.
+[[gnu::noinline]] std::size_t sample_rows_hint(double horizon_seconds,
+                                               double interval_seconds,
+                                               std::size_t trace_events,
+                                               std::size_t fault_events) {
+  const double by_time = horizon_seconds / interval_seconds + 2.0;
+  const double by_steps = 2.0 * static_cast<double>(trace_events) +
+                          static_cast<double>(fault_events) + 2.0;
+  return static_cast<std::size_t>(std::min(by_time, by_steps));
+}
 
 /// Fault-state suffix of the replay failure messages: the head job's spent
 /// retry budget and which nodes are down — the two things an operator needs
@@ -325,12 +367,9 @@ SimReport replay_impl(const SimConfig& config, Source& source,
   std::vector<sched::Job> fault_killed;
   if (plan != nullptr) down_depth.assign(cluster.nodes().size(), 0);
   if (sampler.enabled()) {
-    // Sample times land on event-loop steps, so the series length is
-    // bounded by the trace horizon over the interval (plus the t=0 and
-    // final-step samples).
-    sampler.reserve(static_cast<std::size_t>(
-                        source.horizon() / config.telemetry.interval_seconds) +
-                    2);
+    sampler.reserve(sample_rows_hint(
+        source.horizon(), config.telemetry.interval_seconds,
+        source.event_count(), plan != nullptr ? plan->events.size() : 0));
   }
 
   const auto cache_hit_rate = [&] {

@@ -120,6 +120,9 @@ struct BudgetShare {
 /// the fleet's event array instead of copied events. Produced by
 /// trace::FleetEngine's routing pre-pass; the fleet trace and the index/
 /// share storage must outlive the replay (the engine reads, never copies).
+/// A shard reads every Nth event of the shared array, a stride no hardware
+/// prefetcher follows, so the replay prefetches the fleet event and its
+/// tenant a fixed number of steps ahead of the one it applies.
 struct RoutedShard {
   /// Steps with this bit set index `shares` (a budget share synthesized by
   /// the router); steps without it index `fleet->events` directly (an

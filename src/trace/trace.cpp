@@ -117,12 +117,16 @@ double Trace::horizon_seconds() const noexcept {
   return events.empty() ? 0.0 : events.back().time_seconds;
 }
 
+void TraceEvent::validate_after(double previous_time_seconds) const {
+  validate();
+  MIGOPT_REQUIRE(time_seconds >= previous_time_seconds,
+                 "trace events must be sorted by time");
+}
+
 void Trace::validate() const {
   double previous = 0.0;
   for (const TraceEvent& event : events) {
-    event.validate();
-    MIGOPT_REQUIRE(event.time_seconds >= previous,
-                   "trace events must be sorted by time");
+    event.validate_after(previous);
     previous = event.time_seconds;
   }
 }

@@ -42,6 +42,11 @@ struct TraceEvent {
   /// Field sanity (finite non-negative time, arrival has app + positive
   /// work, ...); throws ContractViolation.
   void validate() const;
+  /// validate() plus the time order against the preceding event's time
+  /// (0 for the first event): Trace::validate's check of one event, for
+  /// walks that visit the trace in pieces (FleetEngine::plan's chunked
+  /// pre-pass) and must fail with the same message.
+  void validate_after(double previous_time_seconds) const;
 };
 
 struct Trace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/assert.hpp"
 #include "profiling/profiler.hpp"
 #include "test_util.hpp"
@@ -30,6 +32,29 @@ TEST(CoScheduler, EmptyQueueYieldsNothing) {
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
   EXPECT_FALSE(scheduler.next(queue, 0.0).has_value());
+}
+
+TEST(CoScheduler, RejectsFixedCapOffTheTrainedGrid) {
+  auto allocator = make_allocator();
+  // The paper grid is 150-250 W in 20 W steps: 200 W has no coefficients.
+  try {
+    CoScheduler scheduler(allocator, core::Policy::problem1(200.0, 0.2));
+    FAIL() << "an off-grid fixed cap was accepted";
+  } catch (const ContractViolation& error) {
+    EXPECT_NE(std::string(error.what()).find("not a trained grid cap"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CoScheduler, AcceptsFixedCapOnTheTrainedGrid) {
+  auto allocator = make_allocator();
+  CoScheduler scheduler(allocator, core::Policy::problem1(190.0, 0.2));
+  JobQueue queue;
+  queue.push(make_job(scheduler, 0, "sgemm"));
+  queue.push(make_job(scheduler, 1, "kmeans"));
+  // The first pairing probe runs at the fixed cap without throwing.
+  EXPECT_TRUE(scheduler.next(queue, 0.0).has_value());
 }
 
 TEST(CoScheduler, FutureJobsNotDispatchedEarly) {

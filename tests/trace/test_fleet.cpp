@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -247,6 +248,131 @@ TEST(FleetEngine, DecisionLatencyIsRecordedOnlyWhenRequested) {
   EXPECT_GT(sharded.router.decision_mean_ns, 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// The pipelined pre-pass: plan() validates, interns and compacts the trace in
+// FleetEngine::kPlanChunkEvents chunks on helper threads while the caller
+// routes. Its output and its errors must not depend on the thread count.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kChunk = FleetEngine::kPlanChunkEvents;
+
+/// Several plan chunks of arrivals with fleet budget events (split and
+/// lifted) mixed in, and a tenant that first appears in the third chunk.
+Trace multi_chunk_trace() {
+  Trace arrivals = fleet_trace(3 * kChunk + 700, 21);
+  for (std::size_t i = 2 * kChunk + 100; i < arrivals.events.size(); i += 97)
+    arrivals.events[i].tenant = "late-tenant";
+  Trace budgets;
+  const double horizon = arrivals.horizon_seconds();
+  for (int k = 0; k < 24; ++k)
+    budgets.events.push_back(TraceEvent::budget(
+        horizon * k / 24.0, k % 5 == 4 ? 0.0 : 1500.0 + 40.0 * k));
+  return Trace::merge(arrivals, budgets);
+}
+
+TEST(FleetEngine, PlanIsIdenticalAcrossThreadCounts) {
+  const Trace trace = multi_chunk_trace();
+  ASSERT_GT(trace.events.size(), 3 * kChunk);
+  FleetConfig config = small_fleet(4, 2);
+  config.router.spill_delay_seconds = 120.0;
+  config.power_split = PowerSplit::DemandProportional;
+  config.seed = 5;
+  config.threads = 1;
+  const RoutePlan serial = FleetEngine(config).plan(trace);
+
+  // Fleet tenant ids are first-appearance ids over the whole trace.
+  SymbolTable expected;
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const TraceEvent& event = trace.events[i];
+    const Symbol id = event.kind == EventKind::JobArrival
+                          ? expected.intern(event.tenant)
+                          : kNoSymbol;
+    ASSERT_EQ(serial.event_tenants[i], id) << "event " << i;
+  }
+  ASSERT_EQ(serial.tenant_names.size(), expected.size());
+  EXPECT_EQ(serial.tenant_names.back(), "late-tenant");
+  EXPECT_GT(serial.router.budget_splits, 0u);
+
+  for (const std::size_t threads : {2u, 4u, 16u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.threads = threads;
+    const RoutePlan plan = FleetEngine(config).plan(trace);
+    EXPECT_EQ(plan.steps, serial.steps);
+    ASSERT_EQ(plan.shares.size(), serial.shares.size());
+    for (std::size_t i = 0; i < plan.shares.size(); ++i) {
+      EXPECT_EQ(plan.shares[i].time_seconds, serial.shares[i].time_seconds);
+      EXPECT_EQ(plan.shares[i].watts, serial.shares[i].watts);
+    }
+    EXPECT_EQ(plan.event_tenants, serial.event_tenants);
+    EXPECT_EQ(plan.tenant_names, serial.tenant_names);
+    EXPECT_EQ(plan.shard_jobs, serial.shard_jobs);
+    EXPECT_EQ(plan.router.decisions, serial.router.decisions);
+    EXPECT_EQ(plan.router.spills, serial.router.spills);
+    EXPECT_EQ(plan.router.jobs_per_cluster, serial.router.jobs_per_cluster);
+    EXPECT_EQ(plan.router.budget_splits, serial.router.budget_splits);
+    EXPECT_EQ(plan.router.outage_readmissions,
+              serial.router.outage_readmissions);
+  }
+}
+
+std::string validate_error(const Trace& trace) {
+  try {
+    trace.validate();
+  } catch (const ContractViolation& error) {
+    return error.what();
+  }
+  return "";
+}
+
+std::string plan_error(const Trace& trace, std::size_t threads) {
+  FleetConfig config = small_fleet(3, 2);
+  config.threads = threads;
+  try {
+    FleetEngine(config).plan(trace);
+  } catch (const ContractViolation& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FleetEngine, PlanThrowsTheFirstInvalidEventLikeTraceValidate) {
+  const Trace valid = fleet_trace(3 * kChunk + 10, 8);
+  // An unsorted pair straddling the first chunk boundary.
+  Trace unsorted = valid;
+  unsorted.events[kChunk].time_seconds =
+      unsorted.events[kChunk - 1].time_seconds - 0.5;
+  // An arrival without an app in the third chunk.
+  Trace no_app = valid;
+  no_app.events[2 * kChunk + 5].app.clear();
+  // Both: the earlier event (by index) is the one reported.
+  Trace both = unsorted;
+  both.events[2 * kChunk + 5].app.clear();
+
+  for (const Trace* trace : {&unsorted, &no_app, &both}) {
+    const std::string expected = validate_error(*trace);
+    ASSERT_FALSE(expected.empty());
+    for (const std::size_t threads : {1u, 2u, 4u})
+      EXPECT_EQ(plan_error(*trace, threads), expected)
+          << "threads " << threads;
+  }
+  EXPECT_NE(validate_error(unsorted).find("sorted by time"),
+            std::string::npos);
+  EXPECT_NE(validate_error(no_app).find("without an app name"),
+            std::string::npos);
+  EXPECT_EQ(validate_error(both), validate_error(unsorted));
+  EXPECT_EQ(plan_error(valid, 2), "");
+
+  // replay() routes first, so it fails the same way before any shard runs.
+  FleetConfig config = small_fleet(3, 2);
+  config.threads = 2;
+  try {
+    FleetEngine(config).replay(no_app);
+    FAIL() << "replay accepted an arrival without an app";
+  } catch (const ContractViolation& error) {
+    EXPECT_EQ(std::string(error.what()), validate_error(no_app));
+  }
+}
+
 TEST(FleetEngine, ConfigContracts) {
   EXPECT_THROW(FleetEngine{small_fleet(0, 2)}, ContractViolation);
   FleetConfig no_threads = small_fleet(2, 2);
@@ -317,6 +443,34 @@ TEST(FleetEngine, ReplayIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.jobs_completed, trace.job_count());
 
   for (std::size_t threads : {4u, 16u}) {
+    config.threads = threads;
+    expect_reports_identical(serial, FleetEngine(config).replay(trace));
+  }
+}
+
+TEST(FleetEngine, SkewedAffinityFleetReplaysIdenticallyAcrossThreadCounts) {
+  // Three tenants pinned to their home clusters (no spillover) leave the
+  // shards uneven, so the longest-first fan-out order differs from index
+  // order; results must still land and merge by cluster index.
+  const Trace trace = fleet_trace(300, 31, /*tenants=*/3);
+  FleetConfig config = small_fleet(5, 2);
+  config.router.policy = RouterPolicy::TenantAffinity;
+  config.router.spill_delay_seconds = 0.0;
+  config.seed = 9;
+  config.threads = 1;
+
+  const RoutePlan plan = FleetEngine(config).plan(trace);
+  std::vector<std::size_t> order(plan.shard_jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return plan.shard_jobs[a] > plan.shard_jobs[b];
+                   });
+  ASSERT_NE(order.front(), 0u) << "the test needs a reordering fleet";
+
+  const FleetReport serial = FleetEngine(config).replay(trace);
+  EXPECT_EQ(serial.jobs_completed, trace.job_count());
+  for (const std::size_t threads : {2u, 4u}) {
     config.threads = threads;
     expect_reports_identical(serial, FleetEngine(config).replay(trace));
   }

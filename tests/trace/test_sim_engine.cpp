@@ -218,6 +218,38 @@ TEST(SimEngine, SampleSeriesRecordsQueueAndCacheOverTime) {
   EXPECT_GT(report.telemetry.rows.back().cache_hit_rate, 0.0);
 }
 
+TEST(SimEngine, NanosecondSampleIntervalIsBoundedByTheStepCount) {
+  // The row reservation used to be horizon / interval: a 1e-9 s interval
+  // asked for ~1e14 rows and died in bad_alloc. At most one row lands per
+  // event-loop step, so the series stays within the step count.
+  const Trace trace = poisson_trace(60, 53);
+  SimConfig plain;
+  plain.collect_phase_counters = true;
+  SimConfig sampled = plain;
+  sampled.telemetry.interval_seconds = 1e-9;
+  const SimReport base =
+      replay(trace, 2, core::Policy::problem1(250.0, 0.2), plain);
+  const SimReport fine =
+      replay(trace, 2, core::Policy::problem1(250.0, 0.2), sampled);
+  ASSERT_GT(fine.telemetry.rows.size(), 2u);
+  EXPECT_LE(fine.telemetry.rows.size(), fine.phases.steps);
+  EXPECT_EQ(fine.phases.steps, base.phases.steps);
+  EXPECT_EQ(fine.jobs_submitted, base.jobs_submitted);
+  EXPECT_EQ(fine.cluster.jobs_completed, base.cluster.jobs_completed);
+  EXPECT_EQ(fine.cluster.makespan_seconds, base.cluster.makespan_seconds);
+  EXPECT_EQ(fine.cluster.total_energy_joules,
+            base.cluster.total_energy_joules);
+  EXPECT_EQ(fine.mean_queue_wait_seconds, base.mean_queue_wait_seconds);
+  EXPECT_EQ(fine.mean_slowdown, base.mean_slowdown);
+  EXPECT_EQ(fine.peak_queue_depth, base.peak_queue_depth);
+  ASSERT_EQ(fine.tenants.size(), base.tenants.size());
+  for (std::size_t i = 0; i < fine.tenants.size(); ++i) {
+    EXPECT_EQ(fine.tenants[i].tenant, base.tenants[i].tenant);
+    EXPECT_EQ(fine.tenants[i].jobs_completed, base.tenants[i].jobs_completed);
+    EXPECT_EQ(fine.tenants[i].mean_slowdown, base.tenants[i].mean_slowdown);
+  }
+}
+
 TEST(SimEngine, UnknownAppThrows) {
   Trace trace;
   trace.events.push_back(TraceEvent::arrival(0.0, "t0", "no-such-app", 5.0));
