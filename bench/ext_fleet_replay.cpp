@@ -10,8 +10,7 @@
 // budget-walk regime additionally splits a moving fleet power contract
 // across clusters demand-proportionally. The mega regime is the serving
 // headline: 16 clusters x 8 nodes x ~65k jobs each — a million-job fleet —
-// replayed through the Indexed event core with every admission decision
-// timed.
+// replayed with every admission decision timed.
 //
 // Everything the router and the shards *decide* is deterministic (one
 // seed, open-loop load model, index-ordered merge), so every summary is an
@@ -44,7 +43,7 @@ constexpr std::size_t kJobs = 65536;
 constexpr int kClusters = 8;
 constexpr int kNodes = 4;
 /// The mega regime: a million-job fleet — 16 clusters x 8 nodes, ~65k jobs
-/// per cluster — through the Indexed event core without per-job stats.
+/// per cluster — without per-job stats.
 constexpr std::size_t kMegaJobs = 1048576;
 constexpr int kMegaClusters = 16;
 constexpr int kMegaNodes = 8;
@@ -59,7 +58,6 @@ struct FleetRegime {
   std::size_t jobs = kJobs;
   int clusters = kClusters;
   int nodes = kNodes;
-  sched::EventCore event_core = sched::EventCore::Exact;
   bool collect_job_stats = true;
   bool measure_decision_latency = false;
   bool report_timing = false;  ///< emit the warn-only timing sections
@@ -87,7 +85,6 @@ RegimeOutcome run_regime(const FleetRegime& regime, std::size_t threads) {
   config.cluster_count = regime.clusters;
   config.cluster.node_count = regime.nodes;
   config.cluster.max_sim_seconds = 1.0e8;
-  config.cluster.event_core = regime.event_core;
   config.cluster.collect_job_stats = regime.collect_job_stats;
   config.router.policy = regime.policy;
   config.router.spill_delay_seconds = regime.spill_delay_seconds;
@@ -244,13 +241,12 @@ report::Section render_throughput(const FleetRegime& regime,
 report::ScenarioResult run(const report::RunContext& ctx) {
   FleetRegime mega;
   mega.name = "mega fleet 1M jobs";
-  mega.blurb = "16 clusters x 8 nodes, affinity+spill, indexed event core";
+  mega.blurb = "16 clusters x 8 nodes, affinity+spill";
   mega.policy = trace::RouterPolicy::TenantAffinity;
   mega.spill_delay_seconds = 60.0;
   mega.jobs = kMegaJobs;
   mega.clusters = kMegaClusters;
   mega.nodes = kMegaNodes;
-  mega.event_core = sched::EventCore::Indexed;
   mega.collect_job_stats = false;
   mega.measure_decision_latency = true;
   mega.report_timing = true;

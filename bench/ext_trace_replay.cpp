@@ -39,8 +39,8 @@ constexpr std::size_t kJobs = 10000;
 constexpr int kNodes = 8;
 constexpr std::uint64_t kSeed = 7;
 /// The mega regime: a million-job Poisson/Zipf trace on a 64-node fleet,
-/// replayed through the Indexed event core (per-event cost independent of
-/// the node count) without the per-job stats vector.
+/// replayed without the per-job stats vector (the event core's per-event
+/// cost is independent of the node count).
 constexpr std::size_t kMegaJobs = 1000000;
 constexpr int kMegaNodes = 64;
 
@@ -50,7 +50,6 @@ struct Regime {
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
   std::size_t jobs = kJobs;
   int nodes = kNodes;
-  sched::EventCore event_core = sched::EventCore::Exact;
   bool collect_job_stats = true;
   bool report_throughput = false;  ///< emit the wall-clock timing section
   /// Collect SimEngine's per-phase host-time tallies and emit them as a
@@ -85,7 +84,6 @@ RegimeOutcome run_regime(const Regime& regime) {
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = regime.nodes;
   cluster_config.max_sim_seconds = 1.0e8;
-  cluster_config.event_core = regime.event_core;
   cluster_config.collect_job_stats = regime.collect_job_stats;
   sched::Cluster cluster(cluster_config);
 
@@ -300,10 +298,9 @@ report::Section render_phase_profile(const Regime& regime,
 report::ScenarioResult run(const report::RunContext& ctx) {
   Regime mega;
   mega.name = "mega 1M jobs";
-  mega.blurb = "million-job Poisson/Zipf trace, indexed event core, 64 nodes";
+  mega.blurb = "million-job Poisson/Zipf trace, 64 nodes";
   mega.jobs = kMegaJobs;
   mega.nodes = kMegaNodes;
-  mega.event_core = sched::EventCore::Indexed;
   mega.collect_job_stats = false;
   mega.report_throughput = true;
   // Same mega replay, re-run with the per-phase tallies on. A separate
@@ -361,8 +358,8 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       "of pairing probes the scheduler's decision table answered from a cell\n"
       "served since the last profile change; the table never evicts, so\n"
       "cache_evictions reads 0. The mega\n"
-      "regime replays a million-job trace on 64 nodes through the Indexed\n"
-      "event core (interned symbols, completion heap, O(1) bookkeeping);\n"
+      "regime replays a million-job trace on 64 nodes (interned symbols,\n"
+      "completion heap, O(1) bookkeeping);\n"
       "its summaries are deterministic while the wall-clock throughput row\n"
       "rides the warn-only timing band of bench_diff. The phase profile\n"
       "section re-runs the mega replay with SimEngine's per-phase tallies on\n"

@@ -406,20 +406,17 @@ void BM_DispatchBatch(benchmark::State& state) {
       job.work_units = 100.0;
       cluster.submit(job);
     }
-    benchmark::DoNotOptimize(cluster.dispatch_batch(scheduler, 0.0));
+    benchmark::DoNotOptimize(cluster.dispatch(scheduler, 0.0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBurst));
 }
 BENCHMARK(BM_DispatchBatch);
 
-// End-to-end trace replay at a fixed job count over a widening fleet. With
-// the Indexed event core, per-event cost must not scale with the node
-// count: time per job stays flat from 8 to 128 nodes. The Exact core
-// (advance every node at every event — the bit-pinned baseline
-// integration) is benchmarked alongside as the contrast: its per-job cost
-// grows with the fleet.
-void replay_nodes_benchmark(benchmark::State& state, sched::EventCore core) {
+// End-to-end trace replay at a fixed job count over a widening fleet. The
+// event core's per-event cost must not scale with the node count: time per
+// job stays flat from 8 to 128 nodes.
+void BM_TraceReplayIndexedCore(benchmark::State& state) {
   const auto& env = report::Environment::get();
   static core::ResourcePowerAllocator allocator(
       env.artifacts.model, env.artifacts.profiles,
@@ -432,7 +429,6 @@ void replay_nodes_benchmark(benchmark::State& state, sched::EventCore core) {
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = nodes;
   cluster_config.max_sim_seconds = 1.0e8;
-  cluster_config.event_core = core;
   cluster_config.collect_job_stats = false;
   trace::SimConfig sim_config;
   sim_config.max_sim_seconds = 1.0e8;
@@ -450,18 +446,7 @@ void replay_nodes_benchmark(benchmark::State& state, sched::EventCore core) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kReplayJobs));
 }
-
-void BM_TraceReplayIndexedCore(benchmark::State& state) {
-  replay_nodes_benchmark(state, sched::EventCore::Indexed);
-}
 BENCHMARK(BM_TraceReplayIndexedCore)
-    ->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TraceReplayExactCore(benchmark::State& state) {
-  replay_nodes_benchmark(state, sched::EventCore::Exact);
-}
-BENCHMARK(BM_TraceReplayExactCore)
     ->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
@@ -495,7 +480,7 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-// The whole-replay observability overhead at microbench scale: the Indexed
+// The whole-replay observability overhead at microbench scale: the
 // 8-node replay of BM_TraceReplayIndexedCore with the metrics registry and
 // telemetry sampler attached. Compare against BM_TraceReplayIndexedCore/8 —
 // the delta is the end-to-end metrics cost (target: within noise).
@@ -512,7 +497,6 @@ void BM_ReplayMetricsOverhead(benchmark::State& state) {
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = nodes;
   cluster_config.max_sim_seconds = 1.0e8;
-  cluster_config.event_core = sched::EventCore::Indexed;
   cluster_config.collect_job_stats = false;
   const trace::Trace job_trace = trace::make_regime_trace(
       trace::ReplayRegime::Poisson, kReplayJobs, nodes, 7, env.registry.names());

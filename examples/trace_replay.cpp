@@ -25,11 +25,6 @@
 //   --jobs N / --nodes N / --seed N    trace shape and its RNG seed
 //   --regime poisson|bursty|budget-walk
 //   --trace PATH                       save + re-load round-trip
-//   --indexed-core                     replay through the Indexed event core
-//                                      without per-job stats — the mega
-//                                      configuration (million-job traces in
-//                                      seconds; see README "Scaling the
-//                                      trace engine")
 //   --profile                          collect SimEngine's per-phase host
 //                                      time tallies and print them to stderr
 //                                      after the replay (where the wall
@@ -78,12 +73,15 @@
 //   --sample-interval S                sim-time telemetry sample period [s]
 //   --log-level LVL                    shared harness flag (trace..off)
 //
+// The replay never collects per-job statistics (the report reads only
+// aggregates), so million-job traces replay in seconds (see README
+// "Scaling the trace engine").
+//
 // The 1M reproduction: trace_replay --jobs 1000000 --nodes 64 --seed 7
-//                          --indexed-core
 // A 16-cluster fleet:   trace_replay --jobs 200000 --clusters 16 --nodes 8
 //                          --router affinity --spill-delay 60
 //                          --fleet-budget 20000 --power-split demand
-//                          --indexed-core --threads 16
+//                          --threads 16
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -111,6 +109,19 @@ namespace {
 using namespace migopt;
 using report::MetricValue;
 
+/// Input footprint bound: a replay's memory grows with the simulated node
+/// count and the trace length, so sizes whose footprint would exceed this
+/// are rejected with a named error up front instead of dying in
+/// std::bad_alloc mid-setup.
+constexpr double kMaxFootprintBytes = 4.0 * 1024 * 1024 * 1024;
+/// Peak RSS per simulated node, rounded up: release builds measured ~640 B
+/// per node on one cluster (--nodes 131072 -> 262144) and ~860 B per
+/// one-node cluster in fleet mode (--clusters 65536 -> 131072).
+constexpr double kBytesPerNode = 1024.0;
+/// Peak RSS per trace event, rounded up: release builds measured ~150 B per
+/// job between --jobs 1000000 and 2000000, single-cluster and fleet alike.
+constexpr double kBytesPerTraceEvent = 160.0;
+
 /// Print one replay's per-phase host-time profile to stderr (--profile).
 /// stderr so the schema-v1 --json stream stays untouched.
 void print_phase_profile(const char* label, const trace::PhaseCounters& phases) {
@@ -134,8 +145,6 @@ struct ReplayConfig {
   std::uint64_t seed = 7;
   trace::ReplayRegime regime = trace::ReplayRegime::Poisson;
   std::string trace_path;  ///< optional save/re-load round-trip
-  /// Indexed event core + no per-job stats: the million-job configuration.
-  bool indexed_core = false;
   /// Collect and print SimEngine's per-phase host-time tallies (--profile).
   bool profile_phases = false;
 
@@ -267,10 +276,7 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
   fleet.cluster_count = config.clusters;
   fleet.cluster.node_count = config.num_nodes;
   fleet.cluster.max_sim_seconds = 1.0e8;
-  if (config.indexed_core) {
-    fleet.cluster.event_core = sched::EventCore::Indexed;
-    fleet.cluster.collect_job_stats = false;
-  }
+  fleet.cluster.collect_job_stats = false;
   fleet.router.policy = config.router;
   fleet.router.spill_delay_seconds = config.spill_delay_seconds;
   fleet.power_split = config.power_split;
@@ -320,8 +326,7 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
                   std::to_string(config.num_nodes) + " nodes, " +
                   trace::router_policy_name(config.router) + " router, " +
                   trace::regime_name(config.regime) + ", seed " +
-                  std::to_string(config.seed) +
-                  (config.indexed_core ? ", indexed core" : "");
+                  std::to_string(config.seed);
   section.label_header = "cluster";
   section.columns = {"routed", "completed", "mean wait [s]", "mean slowdown",
                      "energy [MJ]"};
@@ -408,10 +413,7 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
   sched::ClusterConfig cluster_config;
   cluster_config.node_count = config.num_nodes;
   cluster_config.max_sim_seconds = 1.0e8;
-  if (config.indexed_core) {
-    cluster_config.event_core = sched::EventCore::Indexed;
-    cluster_config.collect_job_stats = false;
-  }
+  cluster_config.collect_job_stats = false;
   sched::Cluster cluster(cluster_config);
 
   trace::SimConfig sim_config;
@@ -453,8 +455,7 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
   section.title = std::to_string(config.num_jobs) + " jobs, " +
                   std::to_string(config.num_nodes) + " nodes, regime " +
                   trace::regime_name(config.regime) + ", seed " +
-                  std::to_string(config.seed) +
-                  (config.indexed_core ? ", indexed core" : "");
+                  std::to_string(config.seed);
   section.label_header = "tenant";
   section.columns = {"submitted", "completed",      "work [s]",
                      "mean wait [s]", "mean slowdown", "deadline misses"};
@@ -542,7 +543,6 @@ int main(int argc, char** argv) {
   std::string metrics_flag;
   std::string chrome_trace_flag;
   std::string sample_interval_flag;
-  bool indexed_core = false;
   bool profile_phases = false;
   std::vector<char*> harness_argv = {argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -573,10 +573,6 @@ int main(int argc, char** argv) {
         take_value("--chrome-trace", chrome_trace_flag) ||
         take_value("--sample-interval", sample_interval_flag))
       continue;
-    if (arg == "--indexed-core") {
-      indexed_core = true;
-      continue;
-    }
     if (arg == "--profile") {
       profile_phases = true;
       continue;
@@ -590,7 +586,6 @@ int main(int argc, char** argv) {
   if (!options.has_value()) return 1;
 
   ReplayConfig config;
-  config.indexed_core = indexed_core;
   config.profile_phases = profile_phases;
   const auto parse_int = [](const std::string& text, const char* what,
                             double minimum, auto& out) {
@@ -755,6 +750,29 @@ int main(int argc, char** argv) {
       return 1;
     }
     config.sample_interval_seconds = *value;
+  }
+
+  // Footprint guards, after every size flag and positional is known.
+  const double total_nodes =
+      static_cast<double>(config.num_nodes) * config.clusters;
+  if (total_nodes * kBytesPerNode > kMaxFootprintBytes) {
+    std::fprintf(stderr,
+                 "error: --nodes x --clusters = %.0f simulated nodes exceeds "
+                 "the input bound of %.0f (~%.0f B each, %.0f GiB footprint)\n",
+                 total_nodes, kMaxFootprintBytes / kBytesPerNode,
+                 kBytesPerNode, kMaxFootprintBytes / (1024.0 * 1024 * 1024));
+    return 1;
+  }
+  const double total_events = static_cast<double>(config.num_jobs);
+  if (total_events * kBytesPerTraceEvent > kMaxFootprintBytes) {
+    std::fprintf(stderr,
+                 "error: --jobs %.0f exceeds the input bound of %.0f trace "
+                 "events (~%.0f B each, %.0f GiB footprint)\n",
+                 total_events,
+                 std::floor(kMaxFootprintBytes / kBytesPerTraceEvent),
+                 kBytesPerTraceEvent,
+                 kMaxFootprintBytes / (1024.0 * 1024 * 1024));
+    return 1;
   }
 
   migopt::report::register_scenario(

@@ -18,8 +18,8 @@
 //   - Transient failures are decided by attempts_to_fail(job_index): a pure
 //     hash-seeded draw per *arrival index*, evaluated independently of when
 //     (or on which node) the attempt runs. The first k completions of job i
-//     fail, for the k the stream drew — bit-identical across event cores
-//     and fleet thread counts.
+//     fail, for the k the stream drew — bit-identical across fleet thread
+//     counts.
 //   - An empty plan (no events, zero rate) must leave the replay
 //     byte-identical to a fault-free engine; SimEngine gates every fault
 //     code path on FaultPlan::empty().

@@ -70,7 +70,7 @@ void Cluster::invalidate_cap_prefix(std::size_t n) noexcept {
 
 void Cluster::set_node_next(int n, double next) {
   node_next_[static_cast<std::size_t>(n)] = next;
-  if (!std::isfinite(next) || !lazy_core()) return;
+  if (!std::isfinite(next)) return;
   completion_heap_.emplace_back(next, n);
   std::push_heap(completion_heap_.begin(), completion_heap_.end(), kHeapOrder);
 }
@@ -126,10 +126,6 @@ void Cluster::set_power_budget(std::optional<double> watts) {
 }
 
 std::size_t Cluster::dispatch(CoScheduler& scheduler, double now) {
-  return dispatch_batch(scheduler, now);
-}
-
-std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
   session_now_ = std::max(session_now_, now);
   // Dispatch runs after every event-loop step; with a standing backlog the
   // nodes are all busy (or down) nearly every time, so that case exits here
@@ -190,8 +186,8 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
       }
 
       DispatchPlan& plan = *plan_opt;
-      // Node clock may lag global time if it has been idle (under the
-      // Indexed core possibly by many events — the idle catch-up).
+      // Node clock may lag global time by many events if it has been idle
+      // (the idle catch-up).
       node.advance_to(now);
       if (plan.job2.has_value()) {
         node.dispatch_pair(plan.job1, *plan.job2,
@@ -232,14 +228,8 @@ std::size_t Cluster::dispatch_batch(CoScheduler& scheduler, double now) {
 }
 
 double Cluster::next_completion_time() const noexcept {
-  if (config_.event_core == EventCore::Exact) {
-    double next = kInf;
-    for (const auto& node : nodes_)
-      next = std::min(next, node->next_completion_time());
-    return next;
-  }
-  // Indexed: discard stale heap tops (their node's next completion moved),
-  // then the top is the earliest pending completion.
+  // Discard stale heap tops (their node's next completion moved), then the
+  // top is the earliest pending completion.
   while (!completion_heap_.empty()) {
     const auto [time, n] = completion_heap_.front();
     if (time == node_next_[static_cast<std::size_t>(n)]) return time;
@@ -260,10 +250,9 @@ void Cluster::drain_node(int n, double t, bool expect_completion,
     // A completion was advertised as due by `t`, but floating-point residue
     // left the slot with a sliver of work whose remaining time rounds below
     // the clock's resolution — the node's step loop exits at dt == 0 and
-    // can never clear it, so the due slot completes at the node clock.
-    // Both cores need this: the Indexed core expects the completion its
-    // heap popped, the Exact core the node's advertised next-completion
-    // time. A fleet-scale overloaded shard first exposed the Exact wedge.
+    // can never clear it, so the due slot completes at the node clock
+    // (without this a sub-ulp remainder freezes the node clock and the event
+    // loop spins forever; a fleet-scale overloaded shard first exposed it).
     done.push_back(node.finish_head_slot());
   }
   for (const Job& job : done) {
@@ -312,24 +301,8 @@ const std::vector<Job>& Cluster::advance_to(double t, CoScheduler& scheduler) {
   session_now_ = std::max(session_now_, t);
   std::vector<Job>& finished = finished_scratch_;
   finished.clear();
-  if (config_.event_core == EventCore::Exact) {
-    // Step every node to t (idle nodes accrue idle power): the original
-    // integration order the checked-in baselines pin. A node whose
-    // advertised completion is due by `t` must deliver it — see the sliver
-    // note in drain_node; without the expectation a sub-ulp remainder
-    // freezes the node clock and the event loop spins forever. Down nodes
-    // are skipped: they hold no work, draw nothing, and their clocks jump
-    // forward at recovery.
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      if (node_down_[n]) continue;
-      drain_node(static_cast<int>(n), t,
-                 /*expect_completion=*/node_next_[n] <= t, scheduler,
-                 finished);
-    }
-    return finished;
-  }
-  // Indexed: pop due completions in (time, node) order — equal-time
-  // completions drain in node-index order, exactly like the Exact scan.
+  // Pop due completions in (time, node) order — equal-time completions
+  // drain in node-index order.
   while (!completion_heap_.empty()) {
     const auto [time, n] = completion_heap_.front();
     if (time != node_next_[static_cast<std::size_t>(n)]) {
@@ -346,17 +319,14 @@ const std::vector<Job>& Cluster::advance_to(double t, CoScheduler& scheduler) {
 }
 
 ClusterReport Cluster::report(const CoScheduler& scheduler) const {
-  if (lazy_core()) {
-    // Catch idle nodes up to the session clock so idle power accrues to the
-    // end of the session (the Exact core advances them eagerly). Nodes are
-    // simulation state behind const unique_ptrs; no completions can fire
-    // (advance_to already drained everything <= session_now_). Down nodes
-    // stay where they are — their downtime is unpowered.
-    for (std::size_t n = 0; n < nodes_.size(); ++n)
-      if (!node_down_[n] && nodes_[n]->idle() &&
-          nodes_[n]->now() < session_now_)
-        nodes_[n]->advance_to(session_now_);
-  }
+  // Catch idle nodes up to the session clock so idle power accrues to the
+  // end of the session. Nodes are simulation state behind const
+  // unique_ptrs; no completions can fire (advance_to already drained
+  // everything <= session_now_). Down nodes stay where they are — their
+  // downtime is unpowered.
+  for (std::size_t n = 0; n < nodes_.size(); ++n)
+    if (!node_down_[n] && nodes_[n]->idle() && nodes_[n]->now() < session_now_)
+      nodes_[n]->advance_to(session_now_);
   ClusterReport report = session_;
   // Session deltas: a reused cluster's node clocks/energy carry over from
   // earlier sessions, so both subtract their begin_session snapshot (a
@@ -367,30 +337,22 @@ ClusterReport Cluster::report(const CoScheduler& scheduler) const {
     report.makespan_seconds =
         std::max(report.makespan_seconds, node->now() - clock_at_session_start_);
     report.total_energy_joules += node->energy_joules();
-    // Mid-session under the Indexed core a *busy* node may lag the session
-    // clock (its next event is still ahead); its draw is constant over the
-    // gap, so the missing energy is one multiply. At session end all nodes
-    // are idle and caught up, so this term vanishes and the report equals
-    // the plain node sums (the Exact core's shape).
-    if (lazy_core() && !node->idle() && node->now() < session_now_)
+    // Mid-session a *busy* node may lag the session clock (its next event
+    // is still ahead); its draw is constant over the gap, so the missing
+    // energy is one multiply. At session end all nodes are idle and caught
+    // up, so this term vanishes and the report equals the plain node sums.
+    if (!node->idle() && node->now() < session_now_)
       report.total_energy_joules +=
           node->power_watts() * (session_now_ - node->now());
   }
-  if (lazy_core())
-    report.makespan_seconds = std::max(
-        report.makespan_seconds, session_now_ - clock_at_session_start_);
-  if (session_.node_failures > 0) {
-    // Under the Exact core a node still down at report time lags the session
-    // clock (its recovery never fired), so the node-clock max undercounts;
-    // and its open downtime window has not been folded in yet. Gated on
-    // faults having fired so fault-free reports take the original code path
-    // bit for bit.
-    report.makespan_seconds = std::max(
-        report.makespan_seconds, session_now_ - clock_at_session_start_);
+  report.makespan_seconds = std::max(report.makespan_seconds,
+                                     session_now_ - clock_at_session_start_);
+  // A node still down at report time has an open downtime window that its
+  // (never fired) recovery has not folded in yet.
+  if (down_nodes_ > 0)
     for (std::size_t n = 0; n < nodes_.size(); ++n)
       if (node_down_[n])
         report.node_downtime_seconds += session_now_ - down_since_[n];
-  }
   if (report.jobs_completed > 0)
     report.mean_turnaround =
         turnaround_sum_ / static_cast<double>(report.jobs_completed);
@@ -424,8 +386,8 @@ std::size_t Cluster::kill_node(std::size_t ni, CoScheduler& scheduler,
   node_busy_[ni] = 0;
   invalidate_cap_prefix(ni);
   // Publish "no completion pending" directly: set_node_next only feeds
-  // finite times to the Indexed heap, and any entry it already holds for
-  // this node is stale against +inf and pruned on the next scan.
+  // finite times to the heap, and any entry it already holds for this node
+  // is stale against +inf and pruned on the next scan.
   node_next_[ni] = kInf;
   return out.size() - first;
 }

@@ -17,21 +17,12 @@
 // scan, queued/running conservation counts, the per-node profile-run list —
 // is maintained incrementally: a dense occupancy bitmap plus a cached
 // per-node cap column (summed in node-index order, so budget arithmetic is
-// bit-identical to the all-node scan it replaced), counters, one profile
-// slot per node. Only the physics integration itself touches nodes. How
-// *that* is driven is the event-core choice (ClusterConfig::event_core):
-//
-//   - EventCore::Exact (default) advances every node at every event — the
-//     original stepwise integration whose floating-point step partitioning
-//     the checked-in BENCH_*.json baselines pin bit-for-bit.
-//   - EventCore::Indexed advances only nodes whose completions are due,
-//     found through a lazy min-heap over per-node next-completion times;
-//     idle nodes catch up (idle power accrues) when next dispatched or at
-//     report(). Per-event cost is O(log nodes) instead of O(nodes). The
-//     schedule, every count, and every job timestamp derived from dispatch
-//     decisions are identical to Exact; continuous outputs (energy,
-//     makespan) agree to rounding because the same work/power is integrated
-//     over coarser steps. Million-job replays use this core.
+// bit-identical to an all-node scan), counters, one profile slot per node.
+// Only the physics integration itself touches nodes, and only when it must:
+// a lazy min-heap over per-node next-completion times names the nodes whose
+// completions are due, equal-time completions drain in node-index order,
+// and idle nodes catch up (idle power accrues) when next dispatched or at
+// report(). Per-event cost is O(log nodes), independent of the node count.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +37,11 @@
 
 namespace migopt::sched {
 
-enum class EventCore {
-  Exact,    ///< advance all nodes every event (bit-pinned FP stepping)
-  Indexed,  ///< completion heap + lazy idle catch-up (O(log n) per event)
-};
+/// The one event core (completion heap + lazy idle catch-up). Single-valued
+/// and read by nothing: kept, with ClusterConfig::event_core, only for
+/// configuration writers (the perfbench harness) until the next revision of
+/// the benchmark.
+enum class EventCore { Indexed };
 
 struct ClusterConfig {
   int node_count = 4;
@@ -63,9 +55,8 @@ struct ClusterConfig {
   /// waits for running work to release budget — the paper's Section 5.2.3
   /// budget shifting applied to the dispatch loop. Empty = unconstrained.
   std::optional<double> total_power_budget_watts;
-  /// See the header comment; Exact is bit-compatible with the checked-in
-  /// baselines, Indexed decouples per-event cost from node count.
-  EventCore event_core = EventCore::Exact;
+  /// Read by nothing; see EventCore.
+  EventCore event_core = EventCore::Indexed;
   /// Collect the per-job JobStat vector in the report. Million-job replays
   /// turn this off; aggregate statistics (mean turnaround, counts) are
   /// accumulated either way.
@@ -145,17 +136,14 @@ class Cluster {
   const std::optional<double>& power_budget() const noexcept { return budget_; }
 
   /// Dispatch onto idle nodes until no further plan fits the queue/budget at
-  /// `now`; returns the number of dispatches made. A batch of arbitrary
-  /// size: forwards to dispatch_batch.
+  /// `now`; returns the number of dispatches made. Drains the ready prefix
+  /// of the queue as one batch: the scheduler's per-batch context
+  /// (profile-revision sync, ceiling-stamped policy copies) is prepared once
+  /// up front instead of once per idle-node probe. Probe order, budget
+  /// arithmetic, and every resulting plan are identical to probing
+  /// CoScheduler::next per node — the checked-in replay baselines pin that
+  /// equivalence bit-for-bit.
   std::size_t dispatch(CoScheduler& scheduler, double now);
-
-  /// The batched dispatch core: drains the ready prefix of the queue onto
-  /// idle nodes with the scheduler's per-batch context (profile-revision
-  /// sync, ceiling-stamped policy copies) prepared once up front instead of
-  /// once per idle-node probe. Probe order, budget arithmetic, and every
-  /// resulting plan are identical to probing CoScheduler::next per node —
-  /// the checked-in replay baselines pin that equivalence bit-for-bit.
-  std::size_t dispatch_batch(CoScheduler& scheduler, double now);
 
   /// Earliest completion across nodes; +infinity when every node idles.
   double next_completion_time() const noexcept;
@@ -163,9 +151,9 @@ class Cluster {
   /// Advance the simulation to `t` (>= all prior clocks), returning finished
   /// jobs with their finish_time set. Profile runs are recorded with the
   /// scheduler (releasing held-back jobs of the same application) and all
-  /// per-job statistics are accumulated for report(). The Exact core steps
-  /// every node to `t`; the Indexed core touches only nodes with due
-  /// completions (equal-time completions drain in node-index order in both).
+  /// per-job statistics are accumulated for report(). Only nodes with due
+  /// completions are touched; equal-time completions drain in node-index
+  /// order.
   /// The returned reference aliases an internal scratch buffer reused by
   /// the next advance_to call — consume (or copy) it before advancing again.
   const std::vector<Job>& advance_to(double t, CoScheduler& scheduler);
@@ -239,18 +227,14 @@ class Cluster {
 
   /// Statistics accumulated since begin_session (makespan from node clocks,
   /// energy and decision-table counters as deltas against the session start).
-  /// Under the Indexed core this first catches idle nodes up to the session
-  /// clock so idle power accrues to the end of the session, exactly as the
-  /// Exact core does eagerly.
+  /// This first catches idle nodes up to the session clock so idle power
+  /// accrues to the end of the session.
   ClusterReport report(const CoScheduler& scheduler) const;
 
   /// Nodes are heap-held because a Node embeds a GpuChip (non-movable).
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept { return nodes_; }
 
  private:
-  bool lazy_core() const noexcept {
-    return config_.event_core != EventCore::Exact;
-  }
   /// Sum of caps of currently busy nodes (the budget accounting quantity).
   /// Walks the occupancy bitmap in node-index order — the same addition
   /// order as the all-node scan it replaced, so budget arithmetic is
@@ -258,13 +242,13 @@ class Cluster {
   double busy_cap_sum() const noexcept;
   /// Advance node `n` to `t`, folding its completions into the session
   /// statistics and updating the occupancy/event-core bookkeeping. With
-  /// `expect_completion` (the Indexed core popped a due entry) a node that
-  /// yields no completion force-finishes its due slot — see
+  /// `expect_completion` (a due completion was popped or advertised) a node
+  /// that yields no completion force-finishes its due slot — see
   /// Node::finish_head_slot.
   void drain_node(int n, double t, bool expect_completion,
                   CoScheduler& scheduler, std::vector<Job>& finished);
-  /// Record node `n`'s next completion (+inf when idle) and, under the
-  /// Indexed core, push it onto the completion heap.
+  /// Record node `n`'s next completion (+inf when idle) and push a finite
+  /// one onto the completion heap.
   void set_node_next(int n, double next);
 
   /// Sorted-insert `ni` into idle_nodes_ on a busy→idle transition.
@@ -335,9 +319,8 @@ class Cluster {
   std::vector<JobId> profiling_job_;
   /// Authoritative per-node next-completion time (+inf when idle).
   std::vector<double> node_next_;
-  /// Lazy min-heap of (next completion, node) under the Indexed core:
-  /// entries whose time no longer matches node_next_ are skipped on pop.
-  /// Ties pop in node-index order, matching the Exact core's node scan.
+  /// Lazy min-heap of (next completion, node): entries whose time no longer
+  /// matches node_next_ are skipped on pop. Ties pop in node-index order.
   mutable std::vector<std::pair<double, int>> completion_heap_;
   /// Reused buffers of the advance_to → drain_node hot path: the common
   /// no-completion step allocates nothing (capacity persists across steps).

@@ -208,7 +208,7 @@ struct RoutePlan {
 
 struct FleetConfig {
   int cluster_count = 4;
-  /// Per-cluster shape: node count, event core, job-stats collection, and a
+  /// Per-cluster shape: node count, job-stats collection, and a
   /// per-cluster starting power budget all pass through unchanged.
   sched::ClusterConfig cluster;
   RouterConfig router;

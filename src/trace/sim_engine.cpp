@@ -34,7 +34,7 @@ struct JobBook {
 /// A killed or failed job waiting out its backoff before re-submission.
 /// Ordered by (release, seq): seq is the engine's monotonically increasing
 /// retry counter, so equal-release retries re-enter the queue in the order
-/// their failures were processed — deterministic for any event core.
+/// their failures were processed — deterministic.
 struct RetryEntry {
   double release = 0.0;
   std::uint64_t seq = 0;
@@ -478,7 +478,7 @@ SimReport replay_impl(const SimConfig& config, Source& source,
     // 0. Apply fault events and due retries at the clock — between the
     // completions the previous step drained and this step's arrivals, a
     // fixed order (completion < fault < retry < arrival at equal times)
-    // every event core and thread count reproduces.
+    // every thread count reproduces.
     if (plan != nullptr) {
       while (next_fault < plan->events.size() &&
              plan->events[next_fault].time_seconds <= now) {

@@ -83,8 +83,8 @@ struct SimConfig {
   /// fails job completions per the plan's transient draw, and re-submits
   /// victims after exponential backoff until the retry budget runs out.
   /// Everything is derived from the plan and the simulation clock, so
-  /// faulted replays stay bit-identical across event cores and (for fleet
-  /// shards) thread counts. The plan must outlive the replay.
+  /// faulted fleet replays stay bit-identical across shard thread counts.
+  /// The plan must outlive the replay.
   const fault::FaultPlan* faults = nullptr;
   /// Collect wall-clock tallies of the event loop's phases (SimReport::
   /// phases) — where a replay's real time goes: applying trace events,
@@ -105,7 +105,7 @@ struct PhaseCounters {
   std::size_t steps = 0;                ///< event-loop iterations
   double event_apply_seconds = 0.0;     ///< phase 1: due trace events
   double budget_rebroker_seconds = 0.0; ///< ... of which budget re-brokering
-  double dispatch_seconds = 0.0;        ///< phase 2: Cluster::dispatch_batch
+  double dispatch_seconds = 0.0;        ///< phase 2: Cluster::dispatch
   double accounting_seconds = 0.0;      ///< conservation check + sampling
   double completion_seconds = 0.0;      ///< phase 3: advance + completions
 };

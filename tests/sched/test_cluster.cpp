@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "test_util.hpp"
 
 namespace migopt::sched {
@@ -222,102 +226,160 @@ TEST(Cluster, LargerBudgetNeverSlowsTheQueue) {
   EXPECT_LE(t_big, t_small * 1.001);
 }
 
-TEST(Cluster, IndexedCoreMatchesExactCoreSchedule) {
-  // The Indexed event core must make the same dispatch decisions as the
-  // Exact core — every count and every per-job identity identical; only the
-  // continuous outputs may differ by floating-point step partitioning.
-  auto allocator_exact = make_allocator();
-  CoScheduler sched_exact(allocator_exact, core::Policy::problem1(250.0, 0.2));
-  ClusterConfig config;
-  config.node_count = 3;
-  Cluster exact(config);
-  const ClusterReport a = exact.run(mixed_job_set(sched_exact), sched_exact);
-
-  auto allocator_indexed = make_allocator();
-  CoScheduler sched_indexed(allocator_indexed,
-                            core::Policy::problem1(250.0, 0.2));
-  config.event_core = EventCore::Indexed;
-  Cluster indexed(config);
-  const ClusterReport b = indexed.run(mixed_job_set(sched_indexed), sched_indexed);
-
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.pair_dispatches, b.pair_dispatches);
-  EXPECT_EQ(a.exclusive_dispatches, b.exclusive_dispatches);
-  EXPECT_EQ(a.profile_runs, b.profile_runs);
-  EXPECT_EQ(a.decision_cache_hits, b.decision_cache_hits);
-  EXPECT_EQ(a.decision_cache_misses, b.decision_cache_misses);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].id, b.jobs[i].id);  // same completion order
-    EXPECT_NEAR(a.jobs[i].turnaround, b.jobs[i].turnaround,
-                1e-6 * (1.0 + a.jobs[i].turnaround));
-  }
-  EXPECT_NEAR(a.makespan_seconds, b.makespan_seconds,
-              1e-9 * a.makespan_seconds);
-  EXPECT_NEAR(a.total_energy_joules, b.total_energy_joules,
-              1e-9 * a.total_energy_joules);
-  EXPECT_EQ(a.peak_cap_sum_watts, b.peak_cap_sum_watts);
-}
-
 TEST(Cluster, IndexedCoreEnergyAccountsIdleDrawToSessionEnd) {
   // One staggered late job keeps the cluster's clock running long past the
   // early jobs; idle nodes must accrue idle power up to the session end even
-  // though the Indexed core never touches them in between (report catches
+  // though the event core never touches them in between (report catches
   // them up).
-  auto allocator_exact = make_allocator();
-  CoScheduler sched_exact(allocator_exact, core::Policy::problem1(250.0, 0.2));
-  const auto late_job_set = [](CoScheduler& scheduler) {
-    std::vector<Job> jobs = mixed_job_set(scheduler);
-    jobs[5].submit_time = 2000.0;
-    return jobs;
-  };
+  auto allocator = make_allocator();
+  CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  std::vector<Job> jobs = mixed_job_set(scheduler);
+  jobs[5].submit_time = 2000.0;
   ClusterConfig config;
   config.node_count = 4;
-  Cluster exact(config);
-  const ClusterReport a = exact.run(late_job_set(sched_exact), sched_exact);
+  Cluster cluster(config);
+  const ClusterReport report = cluster.run(std::move(jobs), scheduler);
 
-  auto allocator_indexed = make_allocator();
-  CoScheduler sched_indexed(allocator_indexed,
-                            core::Policy::problem1(250.0, 0.2));
-  config.event_core = EventCore::Indexed;
-  Cluster indexed(config);
-  const ClusterReport b =
-      indexed.run(late_job_set(sched_indexed), sched_indexed);
-
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_NEAR(a.total_energy_joules, b.total_energy_joules,
-              1e-9 * a.total_energy_joules);
-  // And the report total still equals the sum over the caught-up nodes.
+  EXPECT_EQ(report.jobs_completed, 8u);
+  EXPECT_GT(report.makespan_seconds, 2000.0);
+  // Every node was caught up to the session end, and at session end all
+  // nodes idle, so the report total is exactly the sum over the nodes.
   double sum = 0.0;
-  for (const auto& node : indexed.nodes()) sum += node->energy_joules();
-  EXPECT_NEAR(b.total_energy_joules, sum, 1e-9);
+  for (const auto& node : cluster.nodes()) {
+    EXPECT_EQ(node->now(), report.makespan_seconds);
+    sum += node->energy_joules();
+  }
+  EXPECT_EQ(report.total_energy_joules, sum);
 }
 
-TEST(Cluster, IndexedCoreMidSessionReportMatchesExact) {
+TEST(Cluster, MidSessionReportAccountsBusyDrawToSessionClock) {
   // report() in the middle of a session — running jobs still on the nodes —
   // must account energy and makespan up to the session clock even though
-  // the Indexed core has not touched the busy nodes since dispatch (their
+  // the event core has not touched the busy nodes since dispatch (their
   // draw is constant over the gap, so the report adds it analytically).
-  const auto run_half = [](EventCore core) {
-    auto allocator = make_allocator();
+  auto allocator = make_allocator();
+  CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  ClusterConfig config;
+  config.node_count = 2;
+  Cluster cluster(config);
+  cluster.begin_session(scheduler);
+  for (Job& job : mixed_job_set(scheduler)) cluster.submit(std::move(job));
+  cluster.dispatch(scheduler, 0.0);
+  cluster.advance_to(5.0, scheduler);  // before the first completion
+  const ClusterReport report = cluster.report(scheduler);
+
+  EXPECT_EQ(report.makespan_seconds, 5.0);
+  double node_sum = 0.0;
+  double busy_draw = 0.0;
+  for (const auto& node : cluster.nodes()) {
+    node_sum += node->energy_joules();
+    if (!node->idle()) busy_draw += node->power_watts() * (5.0 - node->now());
+  }
+  EXPECT_GT(busy_draw, 0.0);  // the busy nodes do lag the session clock
+  EXPECT_DOUBLE_EQ(report.total_energy_joules, node_sum + busy_draw);
+}
+
+TEST(Cluster, NextCompletionMatchesNodeScanOracle) {
+  // The completion heap against the plainest possible answer: after every
+  // session call, Cluster::next_completion_time() must equal the minimum
+  // next completion over the nodes that are up. Randomized bursty arrivals
+  // with crashes, recoveries and power sheds leave stale heap entries
+  // behind (a killed node's pending completion), which the heap must skip.
+  const std::vector<std::string> apps = {"igemm4", "stream", "dgemm",
+                                         "dwt2d",  "kmeans", "needle"};
+  auto allocator = make_allocator();
+  for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+    SCOPED_TRACE(seed);
     CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
     ClusterConfig config;
-    config.node_count = 2;
-    config.event_core = core;
+    config.node_count = 4;
     Cluster cluster(config);
+    Rng rng(seed);
+
+    // Bursts of 2-6 near-simultaneous arrivals separated by quiet gaps.
+    std::vector<Job> jobs;
+    double t = 0.0;
+    while (jobs.size() < 48) {
+      t += rng.uniform(5.0, 40.0);
+      const std::size_t burst = 2 + rng.bounded(5);
+      for (std::size_t b = 0; b < burst; ++b) {
+        const std::string& app = apps[rng.bounded(apps.size())];
+        Job job;
+        job.id = static_cast<JobId>(jobs.size());
+        job.app_id = scheduler.intern_app(app);
+        job.kernel = &test::shared_registry().by_name(app).kernel;
+        job.solo_seconds_per_wu =
+            test::shared_chip().baseline_seconds(*job.kernel);
+        job.work_units = std::max(
+            1.0, std::round(rng.uniform(3.0, 25.0) / job.solo_seconds_per_wu));
+        job.priority = static_cast<int>(rng.bounded(3));
+        job.submit_time = t + rng.uniform(0.0, 0.5);
+        jobs.push_back(job);
+      }
+    }
+
+    const auto expect_oracle = [&](const char* after) {
+      double oracle = std::numeric_limits<double>::infinity();
+      for (std::size_t n = 0; n < cluster.nodes().size(); ++n)
+        if (!cluster.node_down(static_cast<int>(n)))
+          oracle = std::min(oracle, cluster.nodes()[n]->next_completion_time());
+      ASSERT_EQ(cluster.next_completion_time(), oracle) << "after " << after;
+    };
+
     cluster.begin_session(scheduler);
-    for (Job& job : mixed_job_set(scheduler)) cluster.submit(std::move(job));
-    cluster.dispatch(scheduler, 0.0);
-    cluster.advance_to(5.0, scheduler);  // before the first completion
-    return cluster.report(scheduler);
-  };
-  const ClusterReport exact = run_half(EventCore::Exact);
-  const ClusterReport indexed = run_half(EventCore::Indexed);
-  EXPECT_GT(exact.total_energy_joules, 0.0);
-  EXPECT_NEAR(indexed.total_energy_joules, exact.total_energy_joules,
-              1e-9 * exact.total_energy_joules);
-  EXPECT_DOUBLE_EQ(exact.makespan_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(indexed.makespan_seconds, 5.0);
+    std::vector<Job> completed;
+    std::vector<Job> killed;
+    std::size_t next = 0;
+    double now = 0.0;
+    for (int step = 0; step < 5000; ++step) {
+      if (next == jobs.size() && cluster.queued_count() == 0 &&
+          cluster.running_count() == 0)
+        break;
+      double event = cluster.next_completion_time();
+      if (next < jobs.size())
+        event = std::min(event, jobs[next].submit_time);
+      if (!std::isfinite(event)) event = now + 10.0;  // all up nodes down
+      now = std::max(now, event);
+      cluster.advance_to(now, scheduler);
+      ASSERT_NO_FATAL_FAILURE(expect_oracle("advance_to"));
+      while (next < jobs.size() && jobs[next].submit_time <= now) {
+        cluster.submit(jobs[next++]);
+        ASSERT_NO_FATAL_FAILURE(expect_oracle("submit"));
+      }
+      // One random fault action in roughly a third of the steps.
+      const int n = static_cast<int>(rng.bounded(4));
+      switch (rng.bounded(9)) {
+        case 0:
+          if (!cluster.node_down(n) && cluster.down_node_count() < 3) {
+            cluster.fail_node(n, now, scheduler, completed, killed);
+            ASSERT_NO_FATAL_FAILURE(expect_oracle("fail_node"));
+          }
+          break;
+        case 1:
+          if (cluster.node_down(n)) {
+            cluster.recover_node(n, now);
+            ASSERT_NO_FATAL_FAILURE(expect_oracle("recover_node"));
+          }
+          break;
+        case 2:
+          cluster.shed_to_budget(rng.uniform(150.0, 700.0), now, scheduler,
+                                 completed, killed);
+          ASSERT_NO_FATAL_FAILURE(expect_oracle("shed_to_budget"));
+          break;
+        default:
+          break;
+      }
+      // Killed and shed work re-enters the queue, like trace replay retries.
+      for (Job& job : killed) cluster.submit(job);
+      killed.clear();
+      cluster.dispatch(scheduler, now);
+      ASSERT_NO_FATAL_FAILURE(expect_oracle("dispatch"));
+    }
+    EXPECT_EQ(next, jobs.size());
+    EXPECT_EQ(cluster.queued_count() + cluster.running_count(), 0u);
+    const ClusterReport report = cluster.report(scheduler);
+    EXPECT_GT(report.node_failures + report.jobs_shed, 0u);
+  }
 }
 
 TEST(Cluster, JobStatCollectionCanBeDisabled) {

@@ -124,7 +124,7 @@ TEST(PowerBroker, ShedVictimOrderIsPriorityThenCapThenIndex) {
                                            {2, 200.0, 2}}),
             1u);
   // Full tie: lowest node index — the order must be total so faulted
-  // replays stay bit-identical across event cores and thread counts.
+  // replays stay bit-identical across thread counts.
   EXPECT_EQ(PowerBroker::pick_shed_victim({{3, 250.0, 0},
                                            {1, 250.0, 0},
                                            {2, 250.0, 0}}),

@@ -71,28 +71,6 @@ void expect_identical_reports(const SimReport& a, const SimReport& b) {
   }
 }
 
-/// Cross-core agreement: the *schedule* is exact (counts, peaks, downtime);
-/// order-sensitive accumulations (mean wait/slowdown) carry the same 1e-9
-/// relative band the fault-free core-equivalence suite grants, because the
-/// cores drain equal-time completions through different summation orders.
-void expect_same_schedule(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
-  EXPECT_EQ(a.cluster.jobs_completed, b.cluster.jobs_completed);
-  EXPECT_EQ(a.cluster.pair_dispatches, b.cluster.pair_dispatches);
-  EXPECT_EQ(a.cluster.exclusive_dispatches, b.cluster.exclusive_dispatches);
-  EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  const auto near = [](double x, double y) {
-    return std::abs(x - y) <=
-           1e-9 * (1.0 + std::max(std::abs(x), std::abs(y)));
-  };
-  EXPECT_PRED2(near, a.cluster.makespan_seconds, b.cluster.makespan_seconds);
-  EXPECT_PRED2(near, a.cluster.total_energy_joules,
-               b.cluster.total_energy_joules);
-  EXPECT_PRED2(near, a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
-  EXPECT_PRED2(near, a.mean_slowdown, b.mean_slowdown);
-}
-
 TEST(FaultReplay, EmptyPlanIsByteIdenticalToNoPlan) {
   // The byte-identity gate of the whole PR: an empty plan (and a config
   // whose channels are all off) must replay exactly like a null plan — the
@@ -233,45 +211,6 @@ TEST(FaultReplay, FaultedReplayIsDeterministic) {
   EXPECT_EQ(a.faults.backoff_delay_seconds, b.faults.backoff_delay_seconds);
   // And the faulted replay exercised something.
   EXPECT_GT(a.faults.failures_injected + a.faults.node_failures, 0u);
-}
-
-TEST(FaultReplay, FaultedCoresAgreeOnTheSchedule) {
-  // The same fault plan through both event cores: fault application rides
-  // the same (time, node-index) total order, so the schedules — and every
-  // fault counter — must agree exactly.
-  const Trace trace = poisson_trace(150, 47);
-  fault::FaultConfig config;
-  config.transient_failure_rate = 0.1;
-  config.node_mtbf_seconds = 2500.0;
-  const fault::FaultPlan plan =
-      fault::make_fault_plan(config, 4, trace_horizon(trace), 47);
-
-  const auto run_core = [&](sched::EventCore core) {
-    auto allocator = make_allocator();
-    sched::CoScheduler scheduler(allocator,
-                                 core::Policy::problem1(250.0, 0.2));
-    sched::ClusterConfig cluster_config;
-    cluster_config.node_count = 4;
-    cluster_config.event_core = core;
-    cluster_config.collect_job_stats = false;
-    sched::Cluster cluster(cluster_config);
-    SimConfig sim;
-    sim.faults = &plan;
-    return SimEngine(sim).replay(trace, test::shared_registry(), cluster,
-                                 scheduler);
-  };
-  const SimReport exact = run_core(sched::EventCore::Exact);
-  const SimReport indexed = run_core(sched::EventCore::Indexed);
-  expect_same_schedule(exact, indexed);
-  EXPECT_EQ(exact.faults.failures_injected, indexed.faults.failures_injected);
-  EXPECT_EQ(exact.faults.retries, indexed.faults.retries);
-  EXPECT_EQ(exact.faults.jobs_killed, indexed.faults.jobs_killed);
-  EXPECT_EQ(exact.faults.jobs_shed, indexed.faults.jobs_shed);
-  EXPECT_EQ(exact.faults.jobs_abandoned, indexed.faults.jobs_abandoned);
-  EXPECT_EQ(exact.faults.node_downtime_seconds,
-            indexed.faults.node_downtime_seconds);
-  EXPECT_EQ(exact.faults.backoff_delay_seconds,
-            indexed.faults.backoff_delay_seconds);
 }
 
 TEST(FaultReplay, GuardDiagnosticsNameJobRetriesAndDownNodes) {
