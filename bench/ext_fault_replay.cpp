@@ -15,12 +15,11 @@
 // The fault-free regime doubles as the plumbing's null test: run() replays
 // it twice, without a plan and with an *empty* plan attached, and aborts
 // unless the two reports agree bit-for-bit — the acceptance contract that
-// carrying the fault layer costs the fault-free path nothing.
-#include <chrono>
+// carrying the fault layer costs the fault-free path nothing. This bench
+// times nothing: the faulted replay's throughput is perfbench's
+// (budget_churn runs with faults on).
 #include <string>
 #include <vector>
-
-#include <time.h>  // clock_gettime(CLOCK_THREAD_CPUTIME_ID) — POSIX
 
 #include "common/assert.hpp"
 #include "fault/fault.hpp"
@@ -50,16 +49,9 @@ struct FaultRegime {
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
   fault::FaultConfig fault;
   bool attach_empty_plan = false;  ///< fault-free twin with an empty plan
-  bool report_throughput = false;  ///< emit the wall-clock timing section
 };
 
-struct RegimeOutcome {
-  trace::SimReport sim;
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
-};
-
-RegimeOutcome run_regime(const FaultRegime& regime) {
+trace::SimReport run_regime(const FaultRegime& regime) {
   // Fully independent environment per regime: regimes run concurrently
   // under --threads, and profile runs mutate the allocator.
   gpusim::GpuChip chip;
@@ -88,33 +80,16 @@ RegimeOutcome run_regime(const FaultRegime& regime) {
   if (regime.fault.enabled() || regime.attach_empty_plan)
     sim_config.faults = &plan;
 
-  const auto thread_cpu_seconds = [] {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  };
-
-  RegimeOutcome outcome;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double cpu_start = thread_cpu_seconds();
-  outcome.sim =
+  trace::SimReport sim =
       trace::SimEngine(sim_config).replay(job_trace, registry, cluster, scheduler);
-  outcome.cpu_seconds = thread_cpu_seconds() - cpu_start;
-  outcome.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 
   // End-state conservation under faults, checked on every regime: the
   // cluster counts physical runs (failed attempts complete on the node),
   // the engine counts logical jobs — the books must balance exactly.
-  MIGOPT_ENSURE(outcome.sim.jobs_submitted +
-                        outcome.sim.faults.failures_injected ==
-                    outcome.sim.cluster.jobs_completed +
-                        outcome.sim.faults.jobs_abandoned,
+  MIGOPT_ENSURE(sim.jobs_submitted + sim.faults.failures_injected ==
+                    sim.cluster.jobs_completed + sim.faults.jobs_abandoned,
                 "fault replay lost or invented jobs");
-  return outcome;
+  return sim;
 }
 
 /// The null contract: a fault-free replay with an empty plan attached must
@@ -191,30 +166,6 @@ report::Section render(const FaultRegime& regime, const trace::SimReport& sim) {
                       MetricValue::num(sim.cluster.total_energy_joules / 1.0e6,
                                        2));
   add_fault_summaries(section, sim.faults);
-  return section;
-}
-
-/// Wall-clock replay throughput as a bench_diff *timing* row (real_time /
-/// cpu_time columns — the warn-only band), so the cost of the faulted hot
-/// path is visible without ever gating the build on hardware variance.
-report::Section render_throughput(const FaultRegime& regime,
-                                  const RegimeOutcome& outcome) {
-  report::Section section;
-  section.title = std::string(regime.name) + " throughput";
-  section.label_header = "benchmark";
-  section.columns = {"jobs", "real_time", "cpu_time", "time_unit",
-                     "sim_jobs_per_sec"};
-  const double jobs = static_cast<double>(outcome.sim.jobs_submitted);
-  section.add_row(
-      "fault_replay_wall_clock",
-      {MetricValue::of_count(static_cast<long long>(outcome.sim.jobs_submitted)),
-       MetricValue::num(outcome.wall_seconds * 1e3, 1),
-       MetricValue::num(outcome.cpu_seconds * 1e3, 1),
-       MetricValue::str("ms"),
-       MetricValue::num(outcome.wall_seconds > 0.0
-                            ? jobs / outcome.wall_seconds
-                            : 0.0,
-                        0)});
   return section;
 }
 
@@ -306,7 +257,6 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   transient.name = "poisson transient 10k jobs";
   transient.blurb = "5% transient failure rate, retry x3 with backoff";
   transient.fault.transient_failure_rate = 0.05;
-  transient.report_throughput = true;
 
   FaultRegime outages;
   outages.name = "poisson outages 10k jobs";
@@ -327,11 +277,11 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   const std::vector<FaultRegime> regimes = {fault_free, empty_plan, transient,
                                             outages, emergencies};
 
-  std::vector<RegimeOutcome> outcomes(regimes.size());
+  std::vector<trace::SimReport> outcomes(regimes.size());
   ctx.parallel_for(regimes.size(),
                    [&](std::size_t i) { outcomes[i] = run_regime(regimes[i]); });
 
-  require_same_replay(outcomes[0].sim, outcomes[1].sim);
+  require_same_replay(outcomes[0], outcomes[1]);
 
   const trace::FleetReport fleet_serial = run_fleet(1);
   const trace::FleetReport fleet_threaded =
@@ -340,11 +290,10 @@ report::ScenarioResult run(const report::RunContext& ctx) {
 
   report::ScenarioResult result;
   for (std::size_t i = 0; i < regimes.size(); ++i) {
-    if (regimes[i].attach_empty_plan)
-      continue;  // bit-identical to the fault-free section by contract
-    result.add_section(render(regimes[i], outcomes[i].sim));
-    if (regimes[i].report_throughput)
-      result.add_section(render_throughput(regimes[i], outcomes[i]));
+    // The empty-plan twin is bit-identical to the fault-free section by
+    // contract.
+    if (!regimes[i].attach_empty_plan)
+      result.add_section(render(regimes[i], outcomes[i]));
   }
   result.add_section(render_fleet(fleet_serial));
   result.add_note(
@@ -361,7 +310,7 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       "regime layers whole-cluster outage windows on top and re-admits\n"
       "arrivals to surviving clusters (outage_readmissions); it runs at two\n"
       "thread counts and aborts on any bit drift. All counters are exact\n"
-      "gates; only the throughput rows ride the warn-only timing band.");
+      "gates.");
   return result;
 }
 

@@ -9,22 +9,16 @@
 // replays the resulting shards as share-nothing SimEngine sessions. A
 // budget-walk regime additionally splits a moving fleet power contract
 // across clusters demand-proportionally. The mega regime is the serving
-// headline: 16 clusters x 8 nodes x ~65k jobs each — a million-job fleet —
-// replayed with every admission decision timed.
+// headline: 16 clusters x 8 nodes x ~65k jobs each — a million-job fleet.
 //
 // Everything the router and the shards *decide* is deterministic (one
 // seed, open-loop load model, index-ordered merge), so every summary is an
 // exact regression gate and any --threads value is byte-identical to
-// serial. Wall-clock is confined to the two timing sections (admission
-// decision latency p50/p99 and replay throughput), whose
-// real_time/cpu_time columns ride the warn-only band of
-// tools/bench_diff.py.
+// serial. This bench times nothing: fleet replay throughput and the
+// per-decision routing cost are perfbench's (fleet_affinity, route.*).
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
-
-#include <time.h>  // clock_gettime(CLOCK_PROCESS_CPUTIME_ID) — POSIX
 
 #include "report/harness.hpp"
 #include "trace/fleet.hpp"
@@ -59,17 +53,9 @@ struct FleetRegime {
   int clusters = kClusters;
   int nodes = kNodes;
   bool collect_job_stats = true;
-  bool measure_decision_latency = false;
-  bool report_timing = false;  ///< emit the warn-only timing sections
 };
 
-struct RegimeOutcome {
-  trace::FleetReport fleet;
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
-};
-
-RegimeOutcome run_regime(const FleetRegime& regime, std::size_t threads) {
+trace::FleetReport run_regime(const FleetRegime& regime, std::size_t threads) {
   // The fleet trace is the arrival stream at datacenter scope: the regime
   // presets scale their arrival rate by the node count, so hand them the
   // whole fleet's nodes. FleetEngine builds its own per-shard registries;
@@ -93,29 +79,7 @@ RegimeOutcome run_regime(const FleetRegime& regime, std::size_t threads) {
   config.policy = trace::regime_policy(regime.preset);
   config.seed = kSeed;
   config.threads = std::max<std::size_t>(1, threads);
-  config.measure_decision_latency = regime.measure_decision_latency;
-
-  // Process CPU time: the fleet engine fans shards over its own pool, so
-  // the calling thread's clock would miss the workers. Regimes run
-  // serially (the parallelism lives inside the fleet), so the process
-  // delta is this regime's bill.
-  const auto process_cpu_seconds = [] {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  };
-
-  RegimeOutcome outcome;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double cpu_start = process_cpu_seconds();
-  outcome.fleet = trace::FleetEngine(config).replay(fleet_trace);
-  outcome.cpu_seconds = process_cpu_seconds() - cpu_start;
-  outcome.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return outcome;
+  return trace::FleetEngine(config).replay(fleet_trace);
 }
 
 report::Section render(const FleetRegime& regime,
@@ -191,53 +155,6 @@ report::Section render(const FleetRegime& regime,
   return section;
 }
 
-/// Admission-decision latency as bench_diff *timing* rows: p50/p99/mean
-/// nanoseconds per FleetRouter::route call, measured on the serving hot
-/// path (one decision per arriving job). The real_time/cpu_time columns
-/// put the section in the warn-only band; only `samples` is deterministic.
-report::Section render_decision_latency(const FleetRegime& regime,
-                                        const trace::FleetReport& fleet) {
-  report::Section section;
-  section.title = std::string(regime.name) + " admission latency";
-  section.label_header = "benchmark";
-  section.columns = {"samples", "real_time", "cpu_time", "time_unit"};
-  const auto row = [&](const char* label, double ns) {
-    section.add_row(
-        label,
-        {MetricValue::of_count(
-             static_cast<long long>(fleet.router.latency_samples)),
-         MetricValue::num(ns, 1), MetricValue::num(ns, 1),
-         MetricValue::str("ns")});
-  };
-  row("route_decision_p50", fleet.router.decision_p50_ns);
-  row("route_decision_p99", fleet.router.decision_p99_ns);
-  row("route_decision_mean", fleet.router.decision_mean_ns);
-  return section;
-}
-
-/// Wall-clock fleet replay throughput (same warn-only band).
-report::Section render_throughput(const FleetRegime& regime,
-                                  const RegimeOutcome& outcome) {
-  report::Section section;
-  section.title = std::string(regime.name) + " throughput";
-  section.label_header = "benchmark";
-  section.columns = {"jobs", "real_time", "cpu_time", "time_unit",
-                     "sim_jobs_per_sec"};
-  const double jobs = static_cast<double>(outcome.fleet.jobs_submitted);
-  section.add_row(
-      "fleet_replay_wall_clock",
-      {MetricValue::of_count(
-           static_cast<long long>(outcome.fleet.jobs_submitted)),
-       MetricValue::num(outcome.wall_seconds * 1e3, 1),
-       MetricValue::num(outcome.cpu_seconds * 1e3, 1),
-       MetricValue::str("ms"),
-       MetricValue::num(outcome.wall_seconds > 0.0
-                            ? jobs / outcome.wall_seconds
-                            : 0.0,
-                        0)});
-  return section;
-}
-
 report::ScenarioResult run(const report::RunContext& ctx) {
   FleetRegime mega;
   mega.name = "mega fleet 1M jobs";
@@ -248,8 +165,6 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   mega.clusters = kMegaClusters;
   mega.nodes = kMegaNodes;
   mega.collect_job_stats = false;
-  mega.measure_decision_latency = true;
-  mega.report_timing = true;
 
   std::vector<FleetRegime> regimes = {
       {"round-robin 8x4", "arrival-order placement, the baseline"},
@@ -267,16 +182,10 @@ report::ScenarioResult run(const report::RunContext& ctx) {
 
   // Regimes run serially on purpose: the fan-out lives *inside* the fleet
   // (FleetConfig::threads), which is the code path this bench exists to
-  // exercise — and serial regimes keep the process-CPU timing honest.
+  // exercise.
   report::ScenarioResult result;
-  for (const FleetRegime& regime : regimes) {
-    const RegimeOutcome outcome = run_regime(regime, ctx.threads());
-    result.add_section(render(regime, outcome.fleet));
-    if (regime.report_timing) {
-      result.add_section(render_decision_latency(regime, outcome.fleet));
-      result.add_section(render_throughput(regime, outcome));
-    }
-  }
+  for (const FleetRegime& regime : regimes)
+    result.add_section(render(regime, run_regime(regime, ctx.threads())));
   result.add_note(
       "Reading: round-robin balances job *counts* but ignores tenants;\n"
       "affinity keeps each tenant's stream on one home cluster (Zipf skew\n"
@@ -285,8 +194,7 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       "backlog at the cost of scattering tenants. The demand-split regime\n"
       "walks a fleet-wide power contract and splits it by estimated\n"
       "backlog (floored so idle clusters can still dispatch). The mega\n"
-      "regime routes a million jobs one decision at a time — the\n"
-      "admission-latency rows are that hot path's p50/p99 — and replays\n"
+      "regime routes a million jobs one decision at a time and replays\n"
       "16 share-nothing shards in parallel, byte-identical to serial.");
   return result;
 }
@@ -294,8 +202,7 @@ report::ScenarioResult run(const report::RunContext& ctx) {
 [[maybe_unused]] const bool registered = report::register_scenario(
     {"fleet_replay", "Extension: fleet-sharded trace engine",
      "64k-job fleet traces routed across 8 clusters under four placement "
-     "policies plus a million-job 16-cluster mega regime with admission "
-     "decision latency",
+     "policies plus a million-job 16-cluster mega regime",
      run});
 
 }  // namespace

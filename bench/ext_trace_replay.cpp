@@ -12,15 +12,11 @@
 //
 // Everything is deterministic (one seed, no wall-clock), so every summary
 // is an exact regression gate; sections are assembled per-regime into
-// pre-sized slots, keeping --threads N byte-identical to --threads 1. The
-// mega regime additionally reports wall-clock replay throughput as a
-// *timing* row (real_time/cpu_time columns, the warn-only band of
-// tools/bench_diff.py) so hardware variance never fails the summary gate.
-#include <chrono>
-#include <string>
+// pre-sized slots, keeping --threads N byte-identical to --threads 1. This
+// bench times nothing: replay throughput, the per-phase profile and the
+// observability overhead are perfbench's (cluster_poisson, engine.phase.*,
+// obs.trace_overhead_pct).
 #include <vector>
-
-#include <time.h>  // clock_gettime(CLOCK_THREAD_CPUTIME_ID) — POSIX
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
@@ -51,28 +47,13 @@ struct Regime {
   std::size_t jobs = kJobs;
   int nodes = kNodes;
   bool collect_job_stats = true;
-  bool report_throughput = false;  ///< emit the wall-clock timing section
-  /// Collect SimEngine's per-phase host-time tallies and emit them as a
-  /// timing-row section (warn-only band). Run separately from the
-  /// throughput regime: the per-phase clock reads would tax the wall-clock
-  /// row they sit next to.
-  bool profile_phases = false;
   /// Attach every obs sink (metrics registry, telemetry sampler, span
-  /// tracer). The replay summaries must stay byte-identical — enforced in
-  /// run() against the plain twin regime — and the wall-clock delta is the
-  /// measured observability overhead (warn-only band).
+  /// tracer). The replay must stay bit-identical — enforced in run()
+  /// against the plain twin regime — so the regime emits no section.
   bool observability = false;
 };
 
-struct RegimeOutcome {
-  trace::SimReport sim;
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
-  std::size_t metric_count = 0;   ///< registered metrics (obs regimes)
-  std::size_t trace_events = 0;   ///< span-tracer events (obs regimes)
-};
-
-RegimeOutcome run_regime(const Regime& regime) {
+trace::SimReport run_regime(const Regime& regime) {
   // Fully independent environment per regime: the allocator is mutated by
   // profile runs, and regimes run concurrently under --threads.
   gpusim::GpuChip chip;
@@ -89,7 +70,6 @@ RegimeOutcome run_regime(const Regime& regime) {
 
   trace::SimConfig sim_config;
   sim_config.max_sim_seconds = 1.0e8;
-  sim_config.collect_phase_counters = regime.profile_phases;
   obs::Registry metrics;
   obs::SpanTracer tracer(regime.observability);
   if (regime.observability) {
@@ -99,29 +79,8 @@ RegimeOutcome run_regime(const Regime& regime) {
   }
   const trace::Trace job_trace = trace::make_regime_trace(
       regime.preset, regime.jobs, regime.nodes, kSeed, registry.names());
-
-  // Thread CPU time, not process: regimes run concurrently under --threads,
-  // so the process clock would charge this replay for its siblings' work.
-  const auto thread_cpu_seconds = [] {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  };
-
-  RegimeOutcome outcome;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double cpu_start = thread_cpu_seconds();
-  outcome.sim =
-      trace::SimEngine(sim_config).replay(job_trace, registry, cluster, scheduler);
-  outcome.cpu_seconds = thread_cpu_seconds() - cpu_start;
-  outcome.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  outcome.metric_count = metrics.size();
-  outcome.trace_events = tracer.event_count();
-  return outcome;
+  return trace::SimEngine(sim_config).replay(job_trace, registry, cluster,
+                                             scheduler);
 }
 
 /// The contract the obs regime exists to enforce: observability must not
@@ -161,38 +120,6 @@ void require_same_replay(const trace::SimReport& plain,
           plain.cluster.peak_cap_sum_watts ==
               observed.cluster.peak_cap_sum_watts,
       "observability changed continuous cluster outputs");
-}
-
-/// Observability overhead as timing rows plus a warn-only summary: the
-/// section title contains "observability", which tools/bench_diff.py treats
-/// as a warn-only band (hardware variance must never gate), and
-/// overhead_pct documents the measured cost of running with every sink on.
-report::Section render_obs_overhead(const RegimeOutcome& plain,
-                                    const RegimeOutcome& observed) {
-  report::Section section;
-  section.title = "mega 1M jobs observability overhead";
-  section.label_header = "benchmark";
-  section.columns = {"real_time", "cpu_time", "time_unit", "metrics",
-                     "trace_events", "telemetry_rows"};
-  const auto row = [&](const char* label, const RegimeOutcome& outcome) {
-    section.add_row(
-        label,
-        {MetricValue::num(outcome.wall_seconds * 1e3, 1),
-         MetricValue::num(outcome.cpu_seconds * 1e3, 1),
-         MetricValue::str("ms"),
-         MetricValue::of_count(static_cast<long long>(outcome.metric_count)),
-         MetricValue::of_count(static_cast<long long>(outcome.trace_events)),
-         MetricValue::of_count(
-             static_cast<long long>(outcome.sim.telemetry.rows.size()))});
-  };
-  row("replay_plain", plain);
-  row("replay_full_observability", observed);
-  const double overhead =
-      plain.wall_seconds > 0.0
-          ? (observed.wall_seconds - plain.wall_seconds) / plain.wall_seconds
-          : 0.0;
-  section.add_summary("overhead_pct", MetricValue::num(overhead * 100.0, 2));
-  return section;
 }
 
 report::Section render(const Regime& regime, const trace::SimReport& sim) {
@@ -246,55 +173,6 @@ report::Section render(const Regime& regime, const trace::SimReport& sim) {
   return section;
 }
 
-/// Wall-clock replay throughput as a bench_diff *timing* row: the columns
-/// real_time/cpu_time put this section in the warn-only tolerance band, so
-/// only the deterministic summaries gate the build.
-report::Section render_throughput(const Regime& regime,
-                                  const RegimeOutcome& outcome) {
-  report::Section section;
-  section.title = std::string(regime.name) + " throughput";
-  section.label_header = "benchmark";
-  section.columns = {"jobs", "real_time", "cpu_time", "time_unit",
-                     "sim_jobs_per_sec"};
-  const double jobs = static_cast<double>(outcome.sim.jobs_submitted);
-  section.add_row(
-      "replay_wall_clock",
-      {MetricValue::of_count(static_cast<long long>(outcome.sim.jobs_submitted)),
-       MetricValue::num(outcome.wall_seconds * 1e3, 1),
-       MetricValue::num(outcome.cpu_seconds * 1e3, 1),
-       MetricValue::str("ms"),
-       MetricValue::num(outcome.wall_seconds > 0.0
-                            ? jobs / outcome.wall_seconds
-                            : 0.0,
-                        0)});
-  return section;
-}
-
-/// SimEngine's per-phase host-time tallies as timing rows (real_time +
-/// time_unit — the warn-only band of tools/bench_diff.py; the section
-/// carries no summary, so nothing here ever gates the build). Shows where a
-/// replay's wall clock actually goes: event apply, dispatch, accounting, or
-/// completion draining.
-report::Section render_phase_profile(const Regime& regime,
-                                     const trace::SimReport& sim) {
-  report::Section section;
-  section.title = std::string(regime.name) + " phase profile";
-  section.label_header = "phase";
-  section.columns = {"real_time", "time_unit", "steps"};
-  const auto add = [&](const char* phase, double seconds) {
-    section.add_row(phase,
-                    {MetricValue::num(seconds * 1e3, 1), MetricValue::str("ms"),
-                     MetricValue::of_count(
-                         static_cast<long long>(sim.phases.steps))});
-  };
-  add("event_apply", sim.phases.event_apply_seconds);
-  add("budget_rebroker", sim.phases.budget_rebroker_seconds);
-  add("dispatch", sim.phases.dispatch_seconds);
-  add("accounting", sim.phases.accounting_seconds);
-  add("completion", sim.phases.completion_seconds);
-  return section;
-}
-
 report::ScenarioResult run(const report::RunContext& ctx) {
   Regime mega;
   mega.name = "mega 1M jobs";
@@ -302,19 +180,10 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   mega.jobs = kMegaJobs;
   mega.nodes = kMegaNodes;
   mega.collect_job_stats = false;
-  mega.report_throughput = true;
-  // Same mega replay, re-run with the per-phase tallies on. A separate
-  // regime so the phase clock reads never tax the throughput row above.
-  Regime mega_profiled = mega;
-  mega_profiled.name = "mega 1M jobs";
-  mega_profiled.report_throughput = false;
-  mega_profiled.profile_phases = true;
   // Same mega replay again, with every obs sink attached (metrics registry,
   // telemetry sampler, Chrome-trace spans). run() checks its report against
-  // the plain mega run bit-for-bit and emits the measured overhead.
+  // the plain mega run bit-for-bit.
   Regime mega_obs = mega;
-  mega_obs.name = "mega 1M jobs";
-  mega_obs.report_throughput = false;
   mega_obs.observability = true;
   const std::vector<Regime> regimes = {
       {"poisson 10k jobs", "steady arrivals, unconstrained budget",
@@ -324,31 +193,22 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       {"budget-walk 10k jobs", "random-walk cluster power budget",
        trace::ReplayRegime::BudgetWalk},
       mega,
-      mega_profiled,
       mega_obs,
   };
   const std::size_t mega_index = 3;
-  const std::size_t mega_obs_index = 5;
+  const std::size_t mega_obs_index = 4;
 
-  std::vector<RegimeOutcome> outcomes(regimes.size());
+  std::vector<trace::SimReport> outcomes(regimes.size());
   ctx.parallel_for(regimes.size(),
                    [&](std::size_t i) { outcomes[i] = run_regime(regimes[i]); });
 
-  require_same_replay(outcomes[mega_index].sim, outcomes[mega_obs_index].sim);
+  require_same_replay(outcomes[mega_index], outcomes[mega_obs_index]);
 
   report::ScenarioResult result;
   for (std::size_t i = 0; i < regimes.size(); ++i) {
-    if (regimes[i].observability) {
-      result.add_section(render_obs_overhead(outcomes[mega_index], outcomes[i]));
-      continue;  // stats section is bit-identical to the plain mega run's
-    }
-    if (regimes[i].profile_phases) {
-      result.add_section(render_phase_profile(regimes[i], outcomes[i].sim));
-      continue;  // stats section would duplicate the unprofiled mega run's
-    }
-    result.add_section(render(regimes[i], outcomes[i].sim));
-    if (regimes[i].report_throughput)
-      result.add_section(render_throughput(regimes[i], outcomes[i]));
+    // The obs twin's section would be bit-identical to the plain mega run's.
+    if (!regimes[i].observability)
+      result.add_section(render(regimes[i], outcomes[i]));
   }
   result.add_note(
       "Reading: poisson holds ~85% utilization with single-digit waits; the\n"
@@ -359,16 +219,10 @@ report::ScenarioResult run(const report::RunContext& ctx) {
       "served since the last profile change; the table never evicts, so\n"
       "cache_evictions reads 0. The mega\n"
       "regime replays a million-job trace on 64 nodes (interned symbols,\n"
-      "completion heap, O(1) bookkeeping);\n"
-      "its summaries are deterministic while the wall-clock throughput row\n"
-      "rides the warn-only timing band of bench_diff. The phase profile\n"
-      "section re-runs the mega replay with SimEngine's per-phase tallies on\n"
-      "(timing rows, no summary — never gates). The observability overhead\n"
-      "section replays mega once more with every obs sink attached (metrics\n"
-      "registry, telemetry sampler, Chrome-trace spans); the bench aborts if\n"
-      "any deterministic output moves, and the wall-clock delta — the\n"
-      "overhead_pct summary, target <= 5% — rides the warn-only\n"
-      "observability band of bench_diff.");
+      "completion heap, O(1) bookkeeping), then once more with every obs\n"
+      "sink attached (metrics registry, telemetry sampler, Chrome-trace\n"
+      "spans); the bench aborts if any deterministic output moves. Replay\n"
+      "wall-clock is measured by perfbench, not here.");
   return result;
 }
 

@@ -275,8 +275,9 @@ BENCHMARK(BM_SymbolTableInternHit);
 // FlatMap vs std::unordered_map on the access shapes of the migrated
 // hot-path tables (RunMemo, SymbolTable, ProfileDb; the retired LRU
 // decision cache also sat on FlatMap):
-// resident-key probes (hit), absent-key probes (miss), and erase+insert
-// churn at a standing size. Both containers get the same trivial hash over
+// resident-key probes (hit) and erase+insert churn at a standing size (the
+// miss path is covered by the FlatMap.Fuzz* tests against
+// std::unordered_map; its timing row was too noisy to resolve a change). Both containers get the same trivial hash over
 // pre-randomized 64-bit keys; FlatMap applies its hash_mix seeding on top,
 // exactly as the hot path does.
 struct U64Hash {
@@ -319,19 +320,6 @@ void map_hit_benchmark(benchmark::State& state) {
   }
 }
 
-template <typename Map>
-void map_miss_benchmark(benchmark::State& state) {
-  const auto resident = bench_map_keys(11, kMapEntries);
-  const auto absent = bench_map_keys(13, kMapEntries);
-  Map map;
-  for (const auto key : resident) map.try_emplace(key, key);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map_lookup(map, absent[i]));
-    i = (i + 1) & (kMapEntries - 1);
-  }
-}
-
 // Sliding window of kMapEntries resident keys over a 2x key ring: every
 // iteration erases the oldest key and inserts a fresh one, so the table
 // sits at a constant load while slots/buckets recycle continuously (the
@@ -360,15 +348,6 @@ void BM_UnorderedMapHit(benchmark::State& state) {
   map_hit_benchmark<BenchStdMap>(state);
 }
 BENCHMARK(BM_UnorderedMapHit);
-
-void BM_FlatMapMiss(benchmark::State& state) {
-  map_miss_benchmark<BenchFlatMap>(state);
-}
-BENCHMARK(BM_FlatMapMiss);
-void BM_UnorderedMapMiss(benchmark::State& state) {
-  map_miss_benchmark<BenchStdMap>(state);
-}
-BENCHMARK(BM_UnorderedMapMiss);
 
 void BM_FlatMapChurn(benchmark::State& state) {
   map_churn_benchmark<BenchFlatMap>(state);

@@ -68,8 +68,9 @@
 //                                      writes the series as CSV instead
 //   --chrome-trace PATH                write Chrome trace-event JSON (load
 //                                      in ui.perfetto.dev): session spans,
-//                                      per-phase lanes, re-broker spans,
-//                                      one track per fleet cluster
+//                                      re-broker spans, one track per fleet
+//                                      cluster; per-phase sub-spans only
+//                                      with --profile
 //   --sample-interval S                sim-time telemetry sample period [s]
 //   --log-level LVL                    shared harness flag (trace..off)
 //
@@ -440,8 +441,8 @@ report::ScenarioResult run_replay(const ReplayConfig& config,
   const trace::SimEngine engine(sim_config);
   const trace::SimReport sim =
       engine.replay(job_trace, registry, cluster, scheduler);
-  // The tracer also collects phase tallies (it synthesizes spans from
-  // them); only print the stderr profile when --profile asked for it.
+  // Phase tallies (and the tracer's phase sub-spans) exist only under
+  // --profile; the tracer never turns collection on.
   if (config.profile_phases) print_phase_profile("replay", sim.phases);
   if (!config.metrics_path.empty() || !config.chrome_trace_path.empty()) {
     tracer.set_track_name(0, "cluster");

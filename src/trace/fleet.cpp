@@ -11,8 +11,6 @@
 #include <thread>
 #include <utility>
 
-#include <time.h>  // clock_gettime(CLOCK_MONOTONIC) — POSIX
-
 #include "common/assert.hpp"
 #include "common/flat_map.hpp"
 #include "common/hash_mix.hpp"
@@ -34,12 +32,6 @@ std::uint64_t fnv1a(std::string_view text) noexcept {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-double monotonic_ns() noexcept {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
 
 /// Completion-weighted mean that degenerates to an exact copy when a single
@@ -481,13 +473,6 @@ RoutePlan FleetEngine::plan(const Trace& fleet_trace) const {
   SymbolTable tenant_symbols;
   std::vector<int> tenant_homes;
 
-  const bool timed = config_.measure_decision_latency;
-  std::vector<double> latency_ns;
-  // Upper bound (arrivals + budget events) instead of Trace::job_count():
-  // the exact count costs a full scan of a million-event trace inside the
-  // timed admission window, the slack is a handful of budget events.
-  if (timed) latency_ns.reserve(fleet_trace.events.size());
-
   // Route chunk by chunk. Chunk-local tenant ids map to fleet ids in chunk
   // order, so fleet ids stay first-appearance ids; acquire() rethrows a
   // chunk's validation error, so the first invalid event by index throws
@@ -512,16 +497,8 @@ RoutePlan FleetEngine::plan(const Trace& fleet_trace) const {
         const LocalTenant& tenant = local_tenants[event.tenant];
         plan.event_tenants[index] = tenant.fleet;
 
-        int cluster = 0;
-        if (timed) {
-          const double start = monotonic_ns();
-          cluster = router.route_home(tenant.home, event.time_seconds,
-                                      event.value);
-          latency_ns.push_back(monotonic_ns() - start);
-        } else {
-          cluster = router.route_home(tenant.home, event.time_seconds,
-                                      event.value);
-        }
+        int cluster =
+            router.route_home(tenant.home, event.time_seconds, event.value);
         // Re-admission: an arrival routed into a whole-cluster outage moves
         // to the next surviving cluster in index order (it keeps the
         // original assignment if every cluster is down — the shard then
@@ -567,24 +544,6 @@ RoutePlan FleetEngine::plan(const Trace& fleet_trace) const {
     plan.tenant_names.push_back(tenant_symbols.name(static_cast<Symbol>(id)));
 
   plan.router = router.stats();
-  if (timed && !latency_ns.empty()) {
-    RouterStats& stats = plan.router;
-    stats.latency_samples = latency_ns.size();
-    double sum = 0.0;
-    for (const double ns : latency_ns) sum += ns;
-    stats.decision_mean_ns = sum / static_cast<double>(latency_ns.size());
-    const auto percentile = [&](double q) {
-      const std::size_t rank = std::min(
-          latency_ns.size() - 1,
-          static_cast<std::size_t>(q * static_cast<double>(latency_ns.size())));
-      std::nth_element(latency_ns.begin(),
-                       latency_ns.begin() + static_cast<std::ptrdiff_t>(rank),
-                       latency_ns.end());
-      return latency_ns[rank];
-    };
-    stats.decision_p50_ns = percentile(0.50);
-    stats.decision_p99_ns = percentile(0.99);
-  }
   return plan;
 }
 

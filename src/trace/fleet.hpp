@@ -94,14 +94,6 @@ struct RouterStats {
   /// Arrivals whose routed cluster was inside a whole-cluster outage window
   /// and were re-admitted to the next surviving cluster (index order scan).
   std::size_t outage_readmissions = 0;
-
-  // Admission-decision latency (nanoseconds of wall clock), filled only
-  // when FleetConfig::measure_decision_latency is on. Never compared by
-  // the determinism suite or the exact bench gate.
-  std::size_t latency_samples = 0;
-  double decision_p50_ns = 0.0;
-  double decision_p99_ns = 0.0;
-  double decision_mean_ns = 0.0;
 };
 
 /// The admission layer: assigns arriving jobs to clusters and splits fleet
@@ -242,8 +234,6 @@ struct FleetConfig {
   /// Shard-replay fan-out width; 1 replays serially. Any value produces
   /// bit-identical reports.
   std::size_t threads = 1;
-  /// Time every admission decision and report p50/p99 in RouterStats.
-  bool measure_decision_latency = false;
   /// Optional deterministic metrics sink (non-owning; null = off). Each
   /// shard records into its own private Registry; after the join they merge
   /// into this one in cluster-index order, after the fleet-level router
@@ -253,9 +243,10 @@ struct FleetConfig {
   obs::Registry* metrics = nullptr;
   /// Optional Chrome-trace sink (non-owning; null or disabled = off): the
   /// routing pre-pass and merge phases land on track 0, each shard's replay
-  /// session (with phase sub-spans) on track 1 + cluster index. Shard
-  /// tracers share this tracer's epoch and merge in cluster-index order.
-  /// Overrides SimConfig::tracer inside `sim`.
+  /// session on track 1 + cluster index (phase sub-spans only with
+  /// `sim.collect_phase_counters`). Shard tracers share this tracer's epoch
+  /// and merge in cluster-index order. Overrides SimConfig::tracer inside
+  /// `sim`.
   obs::SpanTracer* tracer = nullptr;
 };
 

@@ -69,9 +69,10 @@ struct SimConfig {
   /// or off.
   obs::Registry* metrics = nullptr;
   /// Optional host-time span sink (non-owning; null or disabled = off):
-  /// emits a replay session span, synthesized per-phase sub-spans (implies
-  /// phase-counter collection), and a re-broker span per budget event onto
-  /// `trace_track`. Host-time diagnostics only — never feeds reports.
+  /// emits a replay session span and a re-broker span per budget event onto
+  /// `trace_track`, plus per-phase sub-spans when collect_phase_counters is
+  /// also on (the tracer never turns it on). Host-time diagnostics only —
+  /// never feeds reports.
   obs::SpanTracer* tracer = nullptr;
   /// Chrome-trace track (tid) this replay's spans land on (the fleet engine
   /// gives each shard its own lane).

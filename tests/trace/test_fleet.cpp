@@ -234,20 +234,6 @@ TEST(FleetEngine, ConfiguredFleetBudgetIsPrependedAtTimeZero) {
   }
 }
 
-TEST(FleetEngine, DecisionLatencyIsRecordedOnlyWhenRequested) {
-  const Trace trace = fleet_trace(200, 9);
-  FleetConfig config = small_fleet(4, 2);
-  FleetEngine cold(config);
-  EXPECT_EQ(route(cold, trace).router.latency_samples, 0u);
-
-  config.measure_decision_latency = true;
-  FleetEngine timed(config);
-  const auto sharded = route(timed, trace);
-  EXPECT_EQ(sharded.router.latency_samples, trace.job_count());
-  EXPECT_GE(sharded.router.decision_p99_ns, sharded.router.decision_p50_ns);
-  EXPECT_GT(sharded.router.decision_mean_ns, 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // The pipelined pre-pass: plan() validates, interns and compacts the trace in
 // FleetEngine::kPlanChunkEvents chunks on helper threads while the caller

@@ -10,20 +10,15 @@ Compares the schema-v1 documents the bench binaries emit (see README):
   cpu_time) are noisy, so only slowdowns beyond --time-tolerance count;
   speedups are reported as improvements. With --time-warn-only, timing
   slowdowns are printed but never fail the diff — the mode CI uses to gate
-  hard on summaries while tolerating hosted-runner hardware variance;
-* rows carrying a `sim_jobs_per_sec` value (the fleet replay throughput
-  gauge) additionally get an old -> new trend line with the percentage
-  delta. The trend is always warn-only: throughput rides the same hardware
-  variance as the timing band and never fails the diff;
-* sections whose title contains "observability" are entirely warn-only,
-  summaries included: their metrics (e.g. the measured overhead_pct of
-  running a replay with every obs sink attached) are wall-clock derived,
-  so they carry the same hardware variance as the timing band.
+  hard on summaries while tolerating hosted-runner hardware variance.
+  Only gb_microbench carries timing rows; end-to-end replay timing belongs
+  to perfbench, not to these documents.
 
 Inputs are two files, or two directories holding BENCH_*.json documents
-(matched by file name). Rows/scenarios present on only one side are reported
-as structural notes, not regressions, so adding a benchmark never fails the
-diff.
+(matched by file name). Scenarios are matched by name, sections by title
+within their scenario (an ordinal tells repeated titles apart) and rows by
+label. Anything present on only one side is reported as a structural note,
+not a regression, so adding or removing a benchmark never fails the diff.
 
 Exit codes: 0 = no regression, 1 = regression beyond tolerance, 2 = usage or
 input error.
@@ -97,7 +92,6 @@ class Report:
         self.regressions: list[str] = []
         self.timing_warnings: list[str] = []
         self.improvements: list[str] = []
-        self.trends: list[str] = []
         self.notes: list[str] = []
         self.time_warn_only = time_warn_only
 
@@ -112,42 +106,39 @@ class Report:
             print(f"  note: {line}")
         for line in self.improvements:
             print(f"  improvement: {line}")
-        for line in self.trends:
-            print(f"  throughput trend: {line}")
         for line in self.timing_warnings:
             print(f"  timing warning: {line}")
         for line in self.regressions:
             print(f"  REGRESSION: {line}")
 
 
-def iter_sections(document: dict) -> Iterator[tuple[str, int, dict]]:
+SectionKey = tuple[str, str, int]
+
+
+def iter_sections(document: dict) -> Iterator[tuple[SectionKey, dict]]:
+    """Yields ((scenario, title, ordinal), section). The ordinal counts
+    earlier sections of the same scenario with the same title, so removing a
+    section never shifts the key of any other."""
     for scenario in document.get("scenarios", []):
         name = scenario.get("name", "?")
-        for index, section in enumerate(scenario.get("sections", [])):
-            yield name, index, section
+        seen: dict[str, int] = {}
+        for section in scenario.get("sections", []):
+            title = str(section.get("title", ""))
+            ordinal = seen.get(title, 0)
+            seen[title] = ordinal + 1
+            yield (name, title, ordinal), section
 
 
-def section_key(scenario: str, index: int, section: dict) -> str:
-    title = section.get("title", "")
-    return f"{scenario}[{index}]" + (f" ({title})" if title else "")
-
-
-def observability_section(section: dict) -> bool:
-    """Warn-only band: the section's numbers are wall-clock derived."""
-    return "observability" in str(section.get("title", "")).lower()
+def section_name(key: SectionKey) -> str:
+    scenario, title, ordinal = key
+    return (scenario + (f" ({title})" if title else "") +
+            (f" #{ordinal + 1}" if ordinal else ""))
 
 
 def compare_summaries(where: str, old: dict, new: dict, tolerance: float,
-                      report: Report, warn_only: bool = False) -> None:
+                      report: Report) -> None:
     old_summary = old.get("summary", {})
     new_summary = new.get("summary", {})
-
-    def flag(line: str) -> None:
-        if warn_only:
-            report.timing_warnings.append(line)
-        else:
-            report.regressions.append(line)
-
     for key, old_value in old_summary.items():
         if key not in new_summary:
             report.notes.append(f"{where}: summary '{key}' missing in new run")
@@ -156,13 +147,15 @@ def compare_summaries(where: str, old: dict, new: dict, tolerance: float,
         new_num = numeric(new_summary[key])
         if old_num is None or new_num is None:
             if old_value != new_summary[key]:
-                flag(f"{where}: summary '{key}' changed "
-                     f"{old_value!r} -> {new_summary[key]!r}")
+                report.regressions.append(
+                    f"{where}: summary '{key}' changed "
+                    f"{old_value!r} -> {new_summary[key]!r}")
             continue
         delta = rel_delta(old_num, new_num)
         if abs(delta) > tolerance:
-            flag(f"{where}: summary '{key}' moved {old_num:.6g} -> {new_num:.6g} "
-                 f"({delta:+.2%}, tolerance {tolerance:.2%})")
+            report.regressions.append(
+                f"{where}: summary '{key}' moved {old_num:.6g} -> {new_num:.6g} "
+                f"({delta:+.2%}, tolerance {tolerance:.2%})")
     for key in new_summary:
         if key not in old_summary:
             report.notes.append(f"{where}: new summary metric '{key}'")
@@ -213,15 +206,6 @@ def compare_timing_rows(where: str, old: dict, new: dict, time_tolerance: float,
                 report.improvements.append(
                     f"{where}: '{label}' {column} sped up {old_num:.1f} -> "
                     f"{new_num:.1f} {old_unit} ({old_num / new_num:.2f}x)")
-        old_rate = numeric(old_values.get("sim_jobs_per_sec"))
-        new_rate = numeric(new_values.get("sim_jobs_per_sec"))
-        if old_rate is not None and new_rate is not None and old_rate > 0.0:
-            # Warn-only by construction: the trend lands in its own bucket
-            # and is never counted as a regression.
-            delta = (new_rate - old_rate) / old_rate
-            report.trends.append(
-                f"{where}: '{label}' sim_jobs_per_sec "
-                f"{old_rate:,.0f} -> {new_rate:,.0f} ({delta:+.1%})")
     for label in new_by_label:
         if all(label_of(row) != label for row in old.get("rows", [])):
             report.notes.append(f"{where}: new row '{label}'")
@@ -229,22 +213,20 @@ def compare_timing_rows(where: str, old: dict, new: dict, time_tolerance: float,
 
 def compare_documents(name: str, old: dict, new: dict, tolerance: float,
                       time_tolerance: float, report: Report) -> None:
-    old_sections = {(s, i): sec for s, i, sec in iter_sections(old)}
-    new_sections = {(s, i): sec for s, i, sec in iter_sections(new)}
+    old_sections = dict(iter_sections(old))
+    new_sections = dict(iter_sections(new))
     for key, old_section in old_sections.items():
-        where = f"{name}: {section_key(key[0], key[1], old_section)}"
+        where = f"{name}: {section_name(key)}"
         if key not in new_sections:
             report.notes.append(f"{where}: section missing in new run")
             continue
         new_section = new_sections[key]
-        compare_summaries(where, old_section, new_section, tolerance, report,
-                          warn_only=observability_section(old_section))
+        compare_summaries(where, old_section, new_section, tolerance, report)
         compare_timing_rows(where, old_section, new_section, time_tolerance,
                             report)
     for key in new_sections:
         if key not in old_sections:
-            report.notes.append(
-                f"{name}: new section {section_key(key[0], key[1], new_sections[key])}")
+            report.notes.append(f"{name}: new section {section_name(key)}")
 
 
 def collect_files(path: str) -> dict[str, str]:
@@ -309,7 +291,6 @@ def main() -> int:
           f"{len(report.regressions)} regression(s), "
           f"{len(report.timing_warnings)} timing warning(s), "
           f"{len(report.improvements)} improvement(s), "
-          f"{len(report.trends)} throughput trend(s), "
           f"{len(report.notes)} note(s)")
     report.print()
     return 1 if report.regressions else 0

@@ -3,11 +3,12 @@
 
 pytest-style test functions, but runnable with no test framework installed:
 `python3 tools/test_bench_diff.py` executes every test_* function and exits
-non-zero on the first failure (what the CI step does).
+non-zero on the first failure (registered as the `tools` ctest).
 
 The focus is the failure path: a missing or truncated baseline must exit 2
 with one clear diagnostic on stderr — never an AttributeError traceback —
-while the happy path and the summary gate keep working.
+while the happy path and the summary gate keep working, and sections are
+matched by title, not position.
 """
 
 from __future__ import annotations
@@ -114,6 +115,42 @@ def test_summary_change_is_a_regression():
         result = run_diff(old, new)
         assert result.returncode == 1, result.stdout + result.stderr
         assert "REGRESSION" in result.stdout
+
+
+def three_sections(last_value: float = 3.0, drop_middle: bool = False) -> dict:
+    sections = [{"title": title, "columns": [], "rows": [],
+                 "summary": {"metric": value}}
+                for title, value in (("first", 1.0), ("middle", 2.0),
+                                     ("last", last_value))]
+    if drop_middle:
+        del sections[1]
+    return {"schema_version": 1, "bench": "toy",
+            "scenarios": [{"name": "toy", "sections": sections}]}
+
+
+def test_removed_middle_section_is_a_note():
+    # Sections are matched by title, so a gap never pairs "last" with
+    # "middle" (which would report a false regression).
+    with tempfile.TemporaryDirectory() as tmp:
+        old = write(os.path.join(tmp, "old.json"), three_sections())
+        new = write(os.path.join(tmp, "new.json"),
+                    three_sections(drop_middle=True))
+        result = run_diff(old, new, "--tolerance", "0")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "toy (middle): section missing in new run" in result.stdout, \
+            result.stdout
+        assert "REGRESSION" not in result.stdout, result.stdout
+
+
+def test_change_after_removed_section_is_a_regression():
+    with tempfile.TemporaryDirectory() as tmp:
+        old = write(os.path.join(tmp, "old.json"), three_sections())
+        new = write(os.path.join(tmp, "new.json"),
+                    three_sections(last_value=4.0, drop_middle=True))
+        result = run_diff(old, new, "--tolerance", "0")
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "REGRESSION: <baseline>: toy (last): summary 'metric'" in \
+            result.stdout, result.stdout
 
 
 def main() -> int:
