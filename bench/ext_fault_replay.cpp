@@ -45,7 +45,6 @@ constexpr int kFleetNodes = 2;
 
 struct FaultRegime {
   const char* name;
-  const char* blurb;
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
   fault::FaultConfig fault;
   bool attach_empty_plan = false;  ///< fault-free twin with an empty plan
@@ -247,27 +246,27 @@ report::Section render_fleet(const trace::FleetReport& fleet) {
 
 report::ScenarioResult run(const report::RunContext& ctx) {
   FaultRegime fault_free;
+  // No faults, no plan — the pre-fault baseline.
   fault_free.name = "poisson fault-free 10k jobs";
-  fault_free.blurb = "no faults, no plan — the pre-fault baseline";
   FaultRegime empty_plan = fault_free;
   empty_plan.name = "poisson empty-plan 10k jobs";
   empty_plan.attach_empty_plan = true;
 
   FaultRegime transient;
+  // 5% transient failure rate, retry x3 with backoff.
   transient.name = "poisson transient 10k jobs";
-  transient.blurb = "5% transient failure rate, retry x3 with backoff";
   transient.fault.transient_failure_rate = 0.05;
 
   FaultRegime outages;
+  // Node crashes (MTBF 15000 s, MTTR 900 s) + 2% transients.
   outages.name = "poisson outages 10k jobs";
-  outages.blurb = "node crashes (MTBF 15000s, MTTR 900s) + 2% transients";
   outages.fault.node_mtbf_seconds = 15000.0;
   outages.fault.node_mttr_seconds = 900.0;
   outages.fault.transient_failure_rate = 0.02;
 
   FaultRegime emergencies;
+  // Random-walk budget + 900 W power emergencies.
   emergencies.name = "budget-walk emergencies 10k jobs";
-  emergencies.blurb = "random-walk budget + 900W power emergencies";
   emergencies.preset = trace::ReplayRegime::BudgetWalk;
   emergencies.fault.power_emergency_mtbf_seconds = 20000.0;
   emergencies.fault.power_emergency_duration_seconds = 600.0;

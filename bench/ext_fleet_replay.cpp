@@ -44,7 +44,6 @@ constexpr int kMegaNodes = 8;
 
 struct FleetRegime {
   const char* name;
-  const char* blurb;
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
   trace::RouterPolicy policy = trace::RouterPolicy::RoundRobin;
   double spill_delay_seconds = 0.0;
@@ -157,8 +156,7 @@ report::Section render(const FleetRegime& regime,
 
 report::ScenarioResult run(const report::RunContext& ctx) {
   FleetRegime mega;
-  mega.name = "mega fleet 1M jobs";
-  mega.blurb = "16 clusters x 8 nodes, affinity+spill";
+  mega.name = "mega fleet 1M jobs";  // 16 clusters x 8 nodes, affinity+spill
   mega.policy = trace::RouterPolicy::TenantAffinity;
   mega.spill_delay_seconds = 60.0;
   mega.jobs = kMegaJobs;
@@ -167,16 +165,21 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   mega.collect_job_stats = false;
 
   std::vector<FleetRegime> regimes = {
-      {"round-robin 8x4", "arrival-order placement, the baseline"},
-      {"affinity 8x4", "tenant-affinity hashing, no spillover",
-       trace::ReplayRegime::Poisson, trace::RouterPolicy::TenantAffinity},
-      {"affinity+spill 8x4", "affinity with 60s least-loaded spillover",
-       trace::ReplayRegime::Bursty, trace::RouterPolicy::TenantAffinity, 60.0},
-      {"least-loaded 8x4", "pure least-estimated-backlog placement",
-       trace::ReplayRegime::Bursty, trace::RouterPolicy::LeastLoaded},
-      {"demand-split 8x4", "random-walk fleet budget, demand-proportional",
-       trace::ReplayRegime::BudgetWalk, trace::RouterPolicy::TenantAffinity,
-       60.0, trace::PowerSplit::DemandProportional},
+      // Arrival-order placement, the baseline.
+      {"round-robin 8x4"},
+      // Tenant-affinity hashing, no spillover.
+      {"affinity 8x4", trace::ReplayRegime::Poisson,
+       trace::RouterPolicy::TenantAffinity},
+      // Affinity with 60 s least-loaded spillover.
+      {"affinity+spill 8x4", trace::ReplayRegime::Bursty,
+       trace::RouterPolicy::TenantAffinity, 60.0},
+      // Pure least-estimated-backlog placement.
+      {"least-loaded 8x4", trace::ReplayRegime::Bursty,
+       trace::RouterPolicy::LeastLoaded},
+      // Random-walk fleet budget, demand-proportional split.
+      {"demand-split 8x4", trace::ReplayRegime::BudgetWalk,
+       trace::RouterPolicy::TenantAffinity, 60.0,
+       trace::PowerSplit::DemandProportional},
       mega,
   };
 

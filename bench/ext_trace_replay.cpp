@@ -42,7 +42,6 @@ constexpr int kMegaNodes = 64;
 
 struct Regime {
   const char* name;
-  const char* blurb;
   trace::ReplayRegime preset = trace::ReplayRegime::Poisson;
   std::size_t jobs = kJobs;
   int nodes = kNodes;
@@ -175,8 +174,7 @@ report::Section render(const Regime& regime, const trace::SimReport& sim) {
 
 report::ScenarioResult run(const report::RunContext& ctx) {
   Regime mega;
-  mega.name = "mega 1M jobs";
-  mega.blurb = "million-job Poisson/Zipf trace, 64 nodes";
+  mega.name = "mega 1M jobs";  // million-job Poisson/Zipf trace, 64 nodes
   mega.jobs = kMegaJobs;
   mega.nodes = kMegaNodes;
   mega.collect_job_stats = false;
@@ -186,12 +184,12 @@ report::ScenarioResult run(const report::RunContext& ctx) {
   Regime mega_obs = mega;
   mega_obs.observability = true;
   const std::vector<Regime> regimes = {
-      {"poisson 10k jobs", "steady arrivals, unconstrained budget",
-       trace::ReplayRegime::Poisson},
-      {"bursty 10k jobs", "diurnal swing, crest ~2x trough",
-       trace::ReplayRegime::Bursty},
-      {"budget-walk 10k jobs", "random-walk cluster power budget",
-       trace::ReplayRegime::BudgetWalk},
+      // Steady arrivals, unconstrained budget.
+      {"poisson 10k jobs", trace::ReplayRegime::Poisson},
+      // Diurnal swing, crest ~2x trough.
+      {"bursty 10k jobs", trace::ReplayRegime::Bursty},
+      // Random-walk cluster power budget.
+      {"budget-walk 10k jobs", trace::ReplayRegime::BudgetWalk},
       mega,
       mega_obs,
   };

@@ -7,6 +7,14 @@
 # Layers publish the repo-root `src/` include directory, so all code uses
 # the canonical `#include "layer/header.hpp"` spelling. DEPS are PUBLIC:
 # linking against a layer transitively provides everything below it.
+#
+# -ffp-contract=off is PUBLIC too: GCC otherwise fuses a*b+c into an FMA
+# wherever the target ISA has one (-march=native on x86-64), and two copies
+# of one formula may then fuse differently and disagree in their last bits.
+# Every consumer of a layer (tests, benches, examples, the perfbench harness,
+# an installed package's users) compiles header code the way the libraries
+# were compiled. On baseline x86-64, which has no FMA, the flag changes
+# nothing.
 function(migopt_add_layer name)
   cmake_parse_arguments(ARG "" "" "SOURCES;DEPS" ${ARGN})
   set(target migopt_${name})
@@ -16,6 +24,7 @@ function(migopt_add_layer name)
     $<BUILD_INTERFACE:${PROJECT_SOURCE_DIR}/src>
     $<INSTALL_INTERFACE:include/migopt>)
   target_link_libraries(${target} PRIVATE migopt::build_flags)
+  target_compile_options(${target} PUBLIC -ffp-contract=off)
   foreach(dep IN LISTS ARG_DEPS)
     target_link_libraries(${target} PUBLIC migopt::${dep})
   endforeach()

@@ -17,6 +17,26 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Min-heap comparator: std::pop_heap with greater<> surfaces the smallest
 /// (time, node) pair — equal times break toward the lower node index.
 constexpr auto kHeapOrder = std::greater<std::pair<double, int>>{};
+
+/// Busy caps are summed as integer counts of 2^-16 W units. Every grid cap
+/// (150…250 W) is a multiple of 2^-16 W.
+constexpr double kUnitsPerWatt = 65536.0;
+constexpr double kWattsPerUnit = 1.0 / kUnitsPerWatt;
+/// Largest per-node cap kept as units (65536 W): even INT_MAX nodes at this
+/// cap cannot overflow the int64 total.
+constexpr double kMaxCapUnits = 4294967296.0;  // 2^32
+/// A total up to 2^53 units makes every partial sum of the index-order
+/// chain (each one <= the total) an exactly representable double.
+constexpr std::int64_t kMaxExactUnits = std::int64_t{1} << 53;
+
+/// `cap` as a count of 2^-16 W units, or -1 when it is off that lattice or
+/// out of range. The scaling by a power of two is exact.
+std::int64_t cap_units(double cap) noexcept {
+  const double units = cap * kUnitsPerWatt;
+  if (!(units >= 0.0 && units <= kMaxCapUnits) || units != std::floor(units))
+    return -1;
+  return static_cast<std::int64_t>(units);
+}
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
@@ -35,8 +55,9 @@ Cluster::Cluster(const ClusterConfig& config)
   down_nodes_ = 0;
   down_since_.assign(nodes_.size(), 0.0);
   node_cap_.assign(nodes_.size(), 0.0);
-  cap_prefix_.assign(nodes_.size() + 1, 0.0);
-  cap_prefix_valid_ = 0;
+  node_cap_units_.assign(nodes_.size(), 0);
+  busy_cap_units_ = 0;
+  off_lattice_caps_ = 0;
   idle_nodes_.reserve(nodes_.size());
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) idle_nodes_.push_back(i);
 }
@@ -47,25 +68,33 @@ void Cluster::mark_idle(std::size_t ni) {
                      static_cast<std::uint32_t>(ni));
 }
 
-double Cluster::busy_cap_sum() const noexcept {
-  // Ascending node-index walk — the same addition order as the sorted
-  // idle/busy sets this bitmap replaced, hence bit-identical sums. The
-  // left-to-right chain is resumed from the cached prefix: partial sums
-  // below cap_prefix_valid_ cannot have changed (every busy-set mutation
-  // lowers the watermark to its index), and double addition is
-  // deterministic, so the resumed walk reproduces the full walk exactly.
-  std::size_t n = cap_prefix_valid_;
-  double sum = cap_prefix_[n];
-  for (; n < node_busy_.size(); ++n) {
+double Cluster::busy_cap_watts() const noexcept {
+  if (off_lattice_caps_ == 0 && busy_cap_units_ <= kMaxExactUnits)
+    return static_cast<double>(busy_cap_units_) * kWattsPerUnit;
+  // An off-lattice cap is resident: add the caps in ascending node index,
+  // the order every budget figure has always been summed in.
+  double sum = 0.0;
+  for (std::size_t n = 0; n < node_busy_.size(); ++n)
     if (node_busy_[n]) sum += node_cap_[n];
-    cap_prefix_[n + 1] = sum;
-  }
-  cap_prefix_valid_ = node_busy_.size();
   return sum;
 }
 
-void Cluster::invalidate_cap_prefix(std::size_t n) noexcept {
-  cap_prefix_valid_ = std::min(cap_prefix_valid_, n);
+void Cluster::add_busy_cap(std::size_t ni, double cap) noexcept {
+  node_cap_[ni] = cap;
+  const std::int64_t units = cap_units(cap);
+  node_cap_units_[ni] = units;
+  if (units < 0)
+    ++off_lattice_caps_;
+  else
+    busy_cap_units_ += units;
+}
+
+void Cluster::remove_busy_cap(std::size_t ni) noexcept {
+  const std::int64_t units = node_cap_units_[ni];
+  if (units < 0)
+    --off_lattice_caps_;
+  else
+    busy_cap_units_ -= units;
 }
 
 void Cluster::set_node_next(int n, double next) {
@@ -97,8 +126,9 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
   down_nodes_ = 0;
   down_since_.assign(nodes_.size(), 0.0);
   node_cap_.assign(nodes_.size(), 0.0);
-  cap_prefix_.assign(nodes_.size() + 1, 0.0);
-  cap_prefix_valid_ = 0;
+  node_cap_units_.assign(nodes_.size(), 0);
+  busy_cap_units_ = 0;
+  off_lattice_caps_ = 0;
   idle_nodes_.clear();
   for (const auto& node : nodes_) {
     energy_at_session_start_ += node->energy_joules();
@@ -109,7 +139,7 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
     if (!node.idle()) {
       node_busy_[n] = 1;
       ++busy_nodes_;
-      node_cap_[n] = node.cap_watts();
+      add_busy_cap(n, node.cap_watts());
       running_jobs_ += node.running_jobs();
       set_node_next(static_cast<int>(n), node.next_completion_time());
     } else {
@@ -137,12 +167,9 @@ std::size_t Cluster::dispatch(CoScheduler& scheduler, double now) {
   bool dispatched = true;
   while (dispatched && !queue_.empty()) {
     dispatched = false;
-    // The busy-cap sum only changes when a dispatch lands, so it is
-    // computed per pass and after each dispatch instead of per idle-node
-    // probe (same index-order additions, hence bit-identical values) —
-    // and only when a budget needs the headroom; the peak tracker below
-    // re-sums after every dispatch regardless.
-    double busy_sum = budget_.has_value() ? busy_cap_sum() : 0.0;
+    // The busy-cap sum only changes when a dispatch lands; it is read per
+    // pass and after each dispatch (the peak tracker needs it either way).
+    double busy_sum = busy_cap_watts();
     // Probe the idle list in ascending node index — the identical order
     // (and therefore identical plans) of the full bitmap scan it replaces.
     // Dispatching erases the current entry, so the next candidate slides
@@ -214,10 +241,9 @@ std::size_t Cluster::dispatch(CoScheduler& scheduler, double now) {
       ++busy_nodes_;
       idle_nodes_.erase(idle_nodes_.begin() +
                         static_cast<std::ptrdiff_t>(i));
-      node_cap_[ni] = node.cap_watts();
-      invalidate_cap_prefix(ni);
+      add_busy_cap(ni, node.cap_watts());
       set_node_next(n, node.next_completion_time());
-      busy_sum = busy_cap_sum();
+      busy_sum = busy_cap_watts();
       session_.peak_cap_sum_watts =
           std::max(session_.peak_cap_sum_watts, busy_sum);
       dispatched = true;
@@ -281,18 +307,13 @@ void Cluster::drain_node(int n, double t, bool expect_completion,
     }
     finished.push_back(job);
   }
-  if (node.idle()) {
-    if (node_busy_[ni]) {
-      --busy_nodes_;
-      node_busy_[ni] = 0;
-      mark_idle(ni);
-      invalidate_cap_prefix(ni);
-    }
-  } else {
-    // Still busy, but the standing cap may have changed (a pair partner
-    // finishing re-caps the survivor).
-    node_cap_[ni] = node.cap_watts();
-    invalidate_cap_prefix(ni);
+  // A node's cap stands from dispatch until it idles (a pair survivor keeps
+  // it), so only the busy -> idle transition touches the cap total.
+  if (node.idle() && node_busy_[ni]) {
+    --busy_nodes_;
+    node_busy_[ni] = 0;
+    mark_idle(ni);
+    remove_busy_cap(ni);
   }
   set_node_next(n, node.next_completion_time());
 }
@@ -384,7 +405,7 @@ std::size_t Cluster::kill_node(std::size_t ni, CoScheduler& scheduler,
   }
   --busy_nodes_;
   node_busy_[ni] = 0;
-  invalidate_cap_prefix(ni);
+  remove_busy_cap(ni);
   // Publish "no completion pending" directly: set_node_next only feeds
   // finite times to the heap, and any entry it already holds for this node
   // is stale against +inf and pruned on the next scan.
@@ -440,7 +461,7 @@ std::size_t Cluster::shed_to_budget(double budget_watts, double now,
   session_now_ = std::max(session_now_, now);
   std::size_t shed_nodes = 0;
   std::vector<ShedCandidate> candidates;
-  while (busy_nodes_ > 0 && busy_cap_sum() > budget_watts) {
+  while (busy_nodes_ > 0 && busy_cap_watts() > budget_watts) {
     candidates.clear();
     for (std::size_t ni = 0; ni < node_busy_.size(); ++ni)
       if (node_busy_[ni])

@@ -14,15 +14,15 @@
 //     with completions. run() is itself implemented on these hooks.
 //
 // Bookkeeping that used to rescan every node per event — the dispatch idle
-// scan, queued/running conservation counts, the per-node profile-run list —
-// is maintained incrementally: a dense occupancy bitmap plus a cached
-// per-node cap column (summed in node-index order, so budget arithmetic is
-// bit-identical to an all-node scan), counters, one profile slot per node.
-// Only the physics integration itself touches nodes, and only when it must:
-// a lazy min-heap over per-node next-completion times names the nodes whose
-// completions are due, equal-time completions drain in node-index order,
-// and idle nodes catch up (idle power accrues) when next dispatched or at
-// report(). Per-event cost is O(log nodes), independent of the node count.
+// scan, queued/running conservation counts, the per-node profile-run list,
+// the busy-cap sum of the budget check — is maintained incrementally: a
+// dense occupancy bitmap, an exact fixed-point busy-cap total (see
+// busy_cap_watts()), counters, one profile slot per node. Only the physics
+// integration itself touches nodes, and only when it must: a lazy min-heap
+// over per-node next-completion times names the nodes whose completions are
+// due, equal-time completions drain in node-index order, and idle nodes
+// catch up (idle power accrues) when next dispatched or at report().
+// Per-event cost is O(log nodes), independent of the node count.
 #pragma once
 
 #include <cstdint>
@@ -213,6 +213,16 @@ class Cluster {
   std::size_t idle_node_count() const noexcept {
     return nodes_.size() - busy_nodes_ - down_nodes_;
   }
+  /// Sum of the standing caps of busy nodes — the quantity the power budget
+  /// bounds and peak_cap_sum_watts tracks. Bit-identical to adding the caps
+  /// in node-index order: every cap on the 2^-16 W lattice (every grid cap
+  /// is) is kept as an integer count of lattice units, and while all busy
+  /// caps are such counts and their total stays below 2^53 units, each
+  /// partial sum of the index-order chain is exact, so the chain equals the
+  /// integer total to the last bit. O(1) then; a cap off the lattice (the
+  /// plain-FIFO headroom cap min(tdp, budget - busy)) makes it walk the busy
+  /// nodes in index order while that cap is resident.
+  double busy_cap_watts() const noexcept;
   /// Dispatch events since begin_session (pairs + exclusives; profile runs
   /// are counted separately in the session report).
   std::size_t session_dispatches() const noexcept {
@@ -235,11 +245,6 @@ class Cluster {
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept { return nodes_; }
 
  private:
-  /// Sum of caps of currently busy nodes (the budget accounting quantity).
-  /// Walks the occupancy bitmap in node-index order — the same addition
-  /// order as the all-node scan it replaced, so budget arithmetic is
-  /// bit-identical.
-  double busy_cap_sum() const noexcept;
   /// Advance node `n` to `t`, folding its completions into the session
   /// statistics and updating the occupancy/event-core bookkeeping. With
   /// `expect_completion` (a due completion was popped or advertised) a node
@@ -262,8 +267,11 @@ class Cluster {
   std::size_t kill_node(std::size_t ni, CoScheduler& scheduler,
                         std::vector<Job>& out);
 
-  /// Busy set or cap changed at node `n`: partial sums >= n are stale.
-  void invalidate_cap_prefix(std::size_t n) noexcept;
+  /// Node `ni` joined the busy set at `cap` (its standing cap): record the
+  /// cap and fold it into the busy-cap total.
+  void add_busy_cap(std::size_t ni, double cap) noexcept;
+  /// Node `ni` left the busy set: take its cap out of the busy-cap total.
+  void remove_busy_cap(std::size_t ni) noexcept;
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -280,10 +288,7 @@ class Cluster {
   /// Latest clock any session call has reached (idle catch-up target).
   double session_now_ = 0.0;
   std::size_t running_jobs_ = 0;
-  /// Dense occupancy bitmap (1 = busy) — dispatch scans it in node-index
-  /// order, the same order the idle-set walk and the all-node loop before it
-  /// used; node_cap_ caches the cap of the standing dispatch per node so
-  /// busy_cap_sum() reads two flat columns instead of chasing Node pointers.
+  /// Dense occupancy bitmap (1 = busy), in node-index order.
   std::vector<std::uint8_t> node_busy_;
   /// Count of set bits in node_busy_: dispatch runs once per event-loop
   /// step, and with a standing backlog every node is busy almost every
@@ -303,16 +308,16 @@ class Cluster {
   std::vector<std::uint8_t> node_down_;
   std::size_t down_nodes_ = 0;
   std::vector<double> down_since_;
+  /// Standing cap per busy node (meaningful only where node_busy_ is set):
+  /// the shed candidates and the off-lattice index-order walk read it.
   std::vector<double> node_cap_;
-  /// Cached left-to-right partial sums of busy_cap_sum(): cap_prefix_[k]
-  /// is the index-order sum over busy nodes < k, valid for
-  /// k <= cap_prefix_valid_. Every busy-set or cap mutation at node n
-  /// lowers the watermark to n, so a re-sum resumes from the last
-  /// unchanged prefix instead of walking all N nodes — the resumed chain
-  /// adds the identical values in the identical order, so the sums (and
-  /// the peak_cap_sum_watts summary built from them) are bit-identical.
-  mutable std::vector<double> cap_prefix_;
-  mutable std::size_t cap_prefix_valid_ = 0;
+  /// node_cap_ in 2^-16 W lattice units, or -1 for a cap off the lattice
+  /// (see busy_cap_watts()).
+  std::vector<std::int64_t> node_cap_units_;
+  /// Sum of node_cap_units_ over busy nodes with a lattice cap.
+  std::int64_t busy_cap_units_ = 0;
+  /// Busy nodes whose cap is off the lattice; nonzero forces the walk.
+  std::size_t off_lattice_caps_ = 0;
   /// Id of the in-flight profile run per node (-1 = none). A node runs at
   /// most one profile job at a time (profile runs are exclusive), so a slot
   /// replaces the per-node vector the old linear find/erase walked.

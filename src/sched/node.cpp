@@ -23,11 +23,12 @@ double Node::next_completion_time() const noexcept {
 
 void Node::dispatch_pair(Job job1, Job job2, const core::PartitionState& state,
                          double power_cap_watts) {
-  std::vector<Job> jobs;
-  jobs.push_back(std::move(job1));
-  jobs.push_back(std::move(job2));
-  dispatch_group(std::move(jobs), core::GroupState::from_pair(state),
-                 power_cap_watts);
+  MIGOPT_REQUIRE(idle(), "dispatch_pair on busy node");
+  option_ = state.option;
+  cap_watts_ = power_cap_watts;
+  place(std::move(job1), state.gpcs_app1);
+  place(std::move(job2), state.gpcs_app2);
+  recompute_rates();
 }
 
 void Node::dispatch_group(std::vector<Job> jobs, const core::GroupState& state,
@@ -38,24 +39,24 @@ void Node::dispatch_group(std::vector<Job> jobs, const core::GroupState& state,
                  "job count does not match the group state");
   option_ = state.option;
   cap_watts_ = power_cap_watts;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].validate();
-    jobs[i].start_time = now_;
-    slots_.push_back(Slot{std::move(jobs[i]), 0.0, 0.0, state.gpcs_of(i)});
-    slots_.back().remaining_work = slots_.back().job.work_units;
-  }
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    place(std::move(jobs[i]), state.gpcs_of(i));
   recompute_rates();
 }
 
 void Node::dispatch_exclusive(Job job, double power_cap_watts) {
   MIGOPT_REQUIRE(idle(), "dispatch_exclusive on busy node");
-  job.validate();
-  job.start_time = now_;
   option_.reset();
   cap_watts_ = power_cap_watts;
-  slots_.push_back(Slot{std::move(job), 0.0, 0.0, chip_.arch().total_gpcs});
-  slots_[0].remaining_work = slots_[0].job.work_units;
+  place(std::move(job), chip_.arch().total_gpcs);
   recompute_rates();
+}
+
+void Node::place(Job job, int gpcs) {
+  job.validate();
+  job.start_time = now_;
+  const double work = job.work_units;
+  slots_.push_back(Slot{std::move(job), work, 0.0, gpcs});
 }
 
 void Node::recompute_rates() {

@@ -102,6 +102,9 @@ class Node {
     int gpcs = 0;
   };
 
+  /// Validate `job`, stamp its start at the node clock and append its slot
+  /// on `gpcs` GPCs with all of its work remaining.
+  void place(Job job, int gpcs);
   void recompute_rates();
   double current_power() const noexcept;
 

@@ -84,7 +84,9 @@ struct TraceSource {
   }
 
   std::size_t event_count() const { return trace.events.size(); }
-  std::size_t job_count() const { return trace.job_count(); }
+  /// Sizes the job books: the event count bounds the job count without a
+  /// second walk over the trace (budget events are few).
+  std::size_t job_count() const { return trace.events.size(); }
   std::size_t tenant_hint() const { return 16; }
   double horizon() const {
     return trace.events.empty() ? 0.0 : trace.events.back().time_seconds;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -380,6 +381,136 @@ TEST(Cluster, NextCompletionMatchesNodeScanOracle) {
     const ClusterReport report = cluster.report(scheduler);
     EXPECT_GT(report.node_failures + report.jobs_shed, 0u);
   }
+}
+
+TEST(Cluster, BusyCapWattsMatchesIndexOrderWalk) {
+  // The O(1) busy-cap total against the plainest possible answer: after
+  // every session call, Cluster::busy_cap_watts() must equal, to the bit,
+  // the caps of the busy nodes added in node-index order, and the session
+  // peak must be the largest such sum seen after a dispatch. Random
+  // sessions mix arrivals, completions, crashes, recoveries, sheds, budget
+  // changes and a begin_session over busy nodes. The plain-FIFO sessions
+  // start at a 150 W budget and then move to 300.3 W, so a second node is
+  // capped at the off-lattice 150.3 W and the fallback walk is exercised.
+  const std::vector<std::string> apps = {"igemm4", "stream", "dgemm",
+                                         "dwt2d",  "kmeans", "needle"};
+  auto allocator = make_allocator();
+  std::size_t off_lattice_steps = 0;
+  for (const bool coscheduling : {true, false}) {
+    for (const std::uint64_t seed : {5u, 23u, 61u}) {
+      SCOPED_TRACE(testing::Message() << "coscheduling " << coscheduling
+                                      << " seed " << seed);
+      CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+      ClusterConfig config;
+      config.node_count = 4;
+      config.enable_coscheduling = coscheduling;
+      config.total_power_budget_watts = coscheduling ? 600.0 : 150.0;
+      Cluster cluster(config);
+      Rng rng(seed);
+      const std::vector<std::optional<double>> budgets =
+          coscheduling ? std::vector<std::optional<double>>{std::nullopt,
+                                                            300.0, 450.5,
+                                                            800.0}
+                       : std::vector<std::optional<double>>{std::nullopt,
+                                                            150.0, 300.3,
+                                                            400.3};
+
+      const auto walk = [&] {
+        double sum = 0.0;
+        for (const auto& node : cluster.nodes())
+          if (!node->idle()) sum += node->cap_watts();
+        return sum;
+      };
+      double peak = 0.0;
+      const auto expect_walk = [&](const char* after) {
+        ASSERT_EQ(cluster.busy_cap_watts(), walk()) << "after " << after;
+      };
+      const auto expect_peak = [&] {
+        ASSERT_EQ(cluster.report(scheduler).peak_cap_sum_watts, peak);
+      };
+
+      cluster.begin_session(scheduler);
+      ASSERT_NO_FATAL_FAILURE(expect_walk("begin_session"));
+      std::vector<Job> completed;
+      std::vector<Job> killed;
+      double now = 0.0;
+      JobId next_id = 0;
+      for (int step = 0; step < 400; ++step) {
+        // A burst of 0-3 arrivals per step keeps a backlog standing.
+        for (std::uint64_t b = rng.bounded(4); b > 0; --b) {
+          const std::string& app = apps[rng.bounded(apps.size())];
+          Job job;
+          job.id = next_id++;
+          job.app_id = scheduler.intern_app(app);
+          job.kernel = &test::shared_registry().by_name(app).kernel;
+          job.solo_seconds_per_wu =
+              test::shared_chip().baseline_seconds(*job.kernel);
+          job.work_units = std::max(
+              1.0,
+              std::round(rng.uniform(3.0, 25.0) / job.solo_seconds_per_wu));
+          job.priority = static_cast<int>(rng.bounded(3));
+          job.submit_time = now;
+          cluster.submit(job);
+        }
+        const int n = static_cast<int>(rng.bounded(4));
+        switch (rng.bounded(12)) {
+          case 0:
+            if (!cluster.node_down(n) && cluster.down_node_count() < 3) {
+              cluster.fail_node(n, now, scheduler, completed, killed);
+              ASSERT_NO_FATAL_FAILURE(expect_walk("fail_node"));
+            }
+            break;
+          case 1:
+            if (cluster.node_down(n)) {
+              cluster.recover_node(n, now);
+              ASSERT_NO_FATAL_FAILURE(expect_walk("recover_node"));
+            }
+            break;
+          case 2:
+            cluster.shed_to_budget(rng.uniform(100.0, 700.0), now, scheduler,
+                                   completed, killed);
+            ASSERT_NO_FATAL_FAILURE(expect_walk("shed_to_budget"));
+            break;
+          case 3:
+          case 4:
+            cluster.set_power_budget(budgets[rng.bounded(budgets.size())]);
+            ASSERT_NO_FATAL_FAILURE(expect_walk("set_power_budget"));
+            break;
+          case 5:
+            // A fresh session over whatever is running: the total restarts
+            // from the resident caps, the peak from zero. The queue is
+            // cleared, and down nodes come back up.
+            if (step % 3 == 0) {
+              cluster.begin_session(scheduler);
+              peak = 0.0;
+              ASSERT_NO_FATAL_FAILURE(expect_walk("begin_session"));
+              ASSERT_NO_FATAL_FAILURE(expect_peak());
+            }
+            break;
+          default:
+            break;
+        }
+        for (Job& job : killed) cluster.submit(job);
+        killed.clear();
+        if (cluster.dispatch(scheduler, now) > 0) peak = std::max(peak, walk());
+        ASSERT_NO_FATAL_FAILURE(expect_walk("dispatch"));
+        ASSERT_NO_FATAL_FAILURE(expect_peak());
+        for (const auto& node : cluster.nodes()) {
+          const double units = node->cap_watts() * 65536.0;
+          if (!node->idle() && units != std::floor(units)) {
+            ++off_lattice_steps;
+            break;
+          }
+        }
+        const double next = cluster.next_completion_time();
+        now = std::isfinite(next) ? std::max(now, next) : now + 5.0;
+        cluster.advance_to(now, scheduler);
+        ASSERT_NO_FATAL_FAILURE(expect_walk("advance_to"));
+      }
+      EXPECT_GT(peak, 0.0);
+    }
+  }
+  EXPECT_GT(off_lattice_steps, 0u);  // the fallback walk did run
 }
 
 TEST(Cluster, JobStatCollectionCanBeDisabled) {
