@@ -524,11 +524,11 @@ void BM_FleetRoute(benchmark::State& state) {
 BENCHMARK(BM_FleetRoute)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // JobQueue steady-state churn at a standing depth (16 / 1k / 4k): one push
-// + one ready probe + one indexed peek + one pop per iteration, the pop
-// landing within the scheduler's 8-wide pairing window of the head. Pops
-// retire entries at a head offset, so the per-op cost should stay flat
-// across depths. Priorities are uniform so insertion is the O(1) append and
-// the row isolates the pop path.
+// + one indexed peek + one pop per iteration, the pop landing within the
+// scheduler's 8-wide pairing window of the head. Pops retire entries at a
+// head offset, so the per-op cost should stay flat across depths.
+// Priorities are uniform so insertion is the O(1) append and the row
+// isolates the pop path.
 void BM_JobQueueChurn(benchmark::State& state) {
   const auto& env = report::Environment::get();
   const auto depth = static_cast<std::size_t>(state.range(0));
@@ -548,7 +548,6 @@ void BM_JobQueueChurn(benchmark::State& state) {
     job.id += 1;
     job.submit_time = now;
     queue.push(job);
-    benchmark::DoNotOptimize(queue.ready_count(now));
     benchmark::DoNotOptimize(queue.peek(queue.size() / 2).id);
     benchmark::DoNotOptimize(queue.pop_at(static_cast<std::size_t>(job.id) % 8).id);
     now += 1.0;

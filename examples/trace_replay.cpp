@@ -86,8 +86,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -545,46 +545,78 @@ int main(int argc, char** argv) {
   std::string chrome_trace_flag;
   std::string sample_interval_flag;
   bool profile_phases = false;
+  // One row per tool flag: what the split below consumes and what --help
+  // prints. A null value marks the --profile switch.
+  struct ToolFlag {
+    const char* name;
+    const char* arg;
+    const char* help;
+    std::string* value;
+  };
+  const ToolFlag tool_flags[] = {
+      {"--jobs", "N", "trace job count", &jobs_flag},
+      {"--nodes", "N", "nodes per cluster", &nodes_flag},
+      {"--seed", "N", "trace RNG seed", &seed_flag},
+      {"--regime", "R", "poisson|bursty|budget-walk", &regime_flag},
+      {"--trace", "PATH", "save + re-load the trace (.csv|.json)", &trace_flag},
+      {"--clusters", "N", "cluster count (> 1 replays a fleet)", &clusters_flag},
+      {"--router", "P", "round-robin|affinity|least-loaded", &router_flag},
+      {"--spill-delay", "S", "affinity spillover threshold [s]", &spill_flag},
+      {"--power-split", "P", "uniform|demand fleet budget split", &split_flag},
+      {"--fleet-budget", "W", "fleet-level power contract [W]",
+       &fleet_budget_flag},
+      {"--fault-rate", "R", "per-attempt transient failure probability [0, 1)",
+       &fault_rate_flag},
+      {"--node-mtbf", "S", "mean seconds between node crashes (> 0 enables)",
+       &node_mtbf_flag},
+      {"--max-retries", "N", "retry budget before a job is abandoned",
+       &max_retries_flag},
+      {"--power-emergency", "W", "emergency budget [W] (> 0 enables)",
+       &power_emergency_flag},
+      {"--metrics", "PATH", "write the metrics document (.csv: the series)",
+       &metrics_flag},
+      {"--chrome-trace", "PATH", "write Chrome trace-event JSON",
+       &chrome_trace_flag},
+      {"--sample-interval", "S", "sim-time telemetry sample period [s]",
+       &sample_interval_flag},
+      {"--profile", "", "print per-phase host time to stderr", nullptr},
+  };
   std::vector<char*> harness_argv = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto take_value = [&](const char* flag, std::string& out) {
-      if (arg != flag) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(1);
-      }
-      out = argv[++i];
-      return true;
-    };
-    if (take_value("--jobs", jobs_flag) || take_value("--nodes", nodes_flag) ||
-        take_value("--seed", seed_flag) ||
-        take_value("--regime", regime_flag) ||
-        take_value("--trace", trace_flag) ||
-        take_value("--clusters", clusters_flag) ||
-        take_value("--router", router_flag) ||
-        take_value("--spill-delay", spill_flag) ||
-        take_value("--power-split", split_flag) ||
-        take_value("--fleet-budget", fleet_budget_flag) ||
-        take_value("--fault-rate", fault_rate_flag) ||
-        take_value("--node-mtbf", node_mtbf_flag) ||
-        take_value("--max-retries", max_retries_flag) ||
-        take_value("--power-emergency", power_emergency_flag) ||
-        take_value("--metrics", metrics_flag) ||
-        take_value("--chrome-trace", chrome_trace_flag) ||
-        take_value("--sample-interval", sample_interval_flag))
-      continue;
-    if (arg == "--profile") {
+    const auto flag =
+        std::find_if(std::begin(tool_flags), std::end(tool_flags),
+                     [&arg](const ToolFlag& f) { return arg == f.name; });
+    if (flag == std::end(tool_flags)) {
+      harness_argv.push_back(argv[i]);
+    } else if (flag->value == nullptr) {
       profile_phases = true;
-      continue;
+    } else if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s needs a value\n", flag->name);
+      return 1;
+    } else {
+      *flag->value = argv[++i];
     }
-    harness_argv.push_back(argv[i]);
   }
 
   const auto options = migopt::report::parse_options(
       static_cast<int>(harness_argv.size()), harness_argv.data(),
       /*allow_positionals=*/true);
   if (!options.has_value()) return 1;
+  if (options->help) {
+    std::printf(
+        "usage: trace_replay [num_jobs] [num_nodes] [seed] [regime] "
+        "[trace_path] [options]\n\ntrace_replay options:\n");
+    for (const ToolFlag& flag : tool_flags) {
+      const std::string head = *flag.arg == '\0'
+                                   ? std::string(flag.name)
+                                   : std::string(flag.name) + " " + flag.arg;
+      std::printf("  %-20s %s\n", head.c_str(), flag.help);
+    }
+    std::printf("\nshared options:\n%s",
+                migopt::report::usage_text().c_str());
+    return 0;
+  }
 
   ReplayConfig config;
   config.profile_phases = profile_phases;

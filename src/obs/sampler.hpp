@@ -1,13 +1,11 @@
 // Sim-time telemetry sampler (migopt::obs).
 //
-// Subsumes the old ad-hoc SimConfig::sample_interval_seconds series: the
-// replay engine calls due()/record() at event-loop steps, so sample times
-// land on event times exactly as before — the legacy {time, queue depth,
-// running, cache hit rate} columns are bit-identical to the deleted path
-// (pinned by tests/trace/test_obs_replay.cpp) — and each row additionally
-// carries busy/idle nodes, the standing power budget, cumulative
-// dispatched-vs-completed counts, the RunMemo hit rate, and the per-tenant
-// backlog (submitted - completed, by tenant id).
+// The replay engine calls due()/record() at event-loop steps, so sample
+// times land on event times. Each row carries the time, queue depth,
+// running jobs and decision-cache hit rate (pinned by
+// tests/trace/test_obs_replay.cpp), busy/idle nodes, the standing power
+// budget, cumulative dispatched-vs-completed counts, the RunMemo hit rate,
+// and the per-tenant backlog (submitted - completed, by tenant id).
 //
 // Everything recorded is simulation-derived, so the series is deterministic
 // for a given trace regardless of host, thread count, or wall clock. The

@@ -105,8 +105,8 @@ void Cluster::set_node_next(int n, double next) {
 }
 
 void Cluster::begin_session(const CoScheduler& scheduler) {
-  // clear() keeps the queue's arena chunks and index columns warm — a
-  // replayed session re-enqueues without touching the heap.
+  // clear() keeps the queue's capacity, so a replayed session re-enqueues
+  // without touching the heap.
   queue_.clear();
   budget_ = config_.total_power_budget_watts;
   session_ = ClusterReport{};
@@ -170,10 +170,10 @@ std::size_t Cluster::dispatch(CoScheduler& scheduler, double now) {
     // The busy-cap sum only changes when a dispatch lands; it is read per
     // pass and after each dispatch (the peak tracker needs it either way).
     double busy_sum = busy_cap_watts();
-    // Probe the idle list in ascending node index — the identical order
-    // (and therefore identical plans) of the full bitmap scan it replaces.
-    // Dispatching erases the current entry, so the next candidate slides
-    // into slot `i`; nothing turns idle mid-batch, so no inserts race it.
+    // Probe the idle list in ascending node index; the checked-in replay
+    // baselines pin this order (and so every plan). Dispatching erases the
+    // current entry, so the next candidate slides into slot `i`; nothing
+    // turns idle mid-batch, so no inserts race it.
     std::size_t i = 0;
     while (i < idle_nodes_.size()) {
       // Every plan pops at least one job, so an emptied queue ends the
@@ -190,9 +190,10 @@ std::size_t Cluster::dispatch(CoScheduler& scheduler, double now) {
       auto plan_opt = config_.enable_coscheduling
                           ? scheduler.next_in_batch(queue_, now, max_affordable)
                           : std::optional<DispatchPlan>{};
-      if (!config_.enable_coscheduling && queue_.ready_count(now) > 0) {
+      if (!config_.enable_coscheduling && !queue_.empty()) {
         const double cap = std::min(node.chip().arch().tdp_watts, max_affordable);
         if (cap >= node.chip().arch().min_power_cap_watts) {
+          queue_.front().require_arrived(now);
           DispatchPlan exclusive;
           exclusive.job1 = queue_.pop_front();
           exclusive.power_cap_watts = cap;
@@ -499,9 +500,8 @@ ClusterReport Cluster::run(std::vector<Job> jobs, CoScheduler& scheduler) {
                    "power budget below the cheapest possible dispatch");
   }
 
-  // Jobs enter the queue at their submit times (not all up front): the queue
-  // orders by priority, so an early-submitted high-priority job must not
-  // gate already-arrived work behind its future submit time.
+  // Jobs enter the queue at their submit times, never earlier: the queue
+  // holds only arrived jobs (JobQueue's arrival contract).
   double now = 0.0;
   std::size_t next_submit = 0;
   while (true) {

@@ -13,10 +13,10 @@
 //     SimEngine) can interleave online arrivals and power-budget changes
 //     with completions. run() is itself implemented on these hooks.
 //
-// Bookkeeping that used to rescan every node per event — the dispatch idle
-// scan, queued/running conservation counts, the per-node profile-run list,
-// the busy-cap sum of the budget check — is maintained incrementally: a
-// dense occupancy bitmap, an exact fixed-point busy-cap total (see
+// Per-node bookkeeping — the idle set dispatch probes, queued/running
+// counts, the in-flight profile run per node, the busy-cap sum of the
+// budget check — is maintained incrementally: a dense occupancy bitmap, a
+// sorted idle list, an exact fixed-point busy-cap total (see
 // busy_cap_watts()), counters, one profile slot per node. Only the physics
 // integration itself touches nodes, and only when it must: a lazy min-heap
 // over per-node next-completion times names the nodes whose completions are
@@ -126,7 +126,8 @@ class Cluster {
   /// counters plus node energy so report() returns session deltas.
   void begin_session(const CoScheduler& scheduler);
 
-  /// Enqueue an arriving job.
+  /// Enqueue a job that has arrived: its submit_time must not be later than
+  /// the `now` of the next dispatch call (see JobQueue).
   void submit(const Job& job);
 
   /// Replace the cluster power budget for all *future* dispatches (running
@@ -136,13 +137,14 @@ class Cluster {
   const std::optional<double>& power_budget() const noexcept { return budget_; }
 
   /// Dispatch onto idle nodes until no further plan fits the queue/budget at
-  /// `now`; returns the number of dispatches made. Drains the ready prefix
-  /// of the queue as one batch: the scheduler's per-batch context
-  /// (profile-revision sync, ceiling-stamped policy copies) is prepared once
-  /// up front instead of once per idle-node probe. Probe order, budget
-  /// arithmetic, and every resulting plan are identical to probing
-  /// CoScheduler::next per node — the checked-in replay baselines pin that
-  /// equivalence bit-for-bit.
+  /// `now`; returns the number of dispatches made. Drains the queue as one
+  /// batch: the scheduler's per-batch context (profile-revision sync,
+  /// ceiling-stamped policy copies) is prepared once up front instead of
+  /// once per idle-node probe. Probe order, budget arithmetic, and every
+  /// resulting plan are identical to probing CoScheduler::next per node —
+  /// the checked-in replay baselines pin that equivalence bit-for-bit.
+  /// Throws ContractViolation when a job it would dispatch has not arrived
+  /// by `now`.
   std::size_t dispatch(CoScheduler& scheduler, double now);
 
   /// Earliest completion across nodes; +infinity when every node idles.
@@ -197,13 +199,6 @@ class Cluster {
   std::size_t queued_count() const noexcept { return queue_.size(); }
   /// Jobs resident on nodes right now (maintained incrementally — O(1)).
   std::size_t running_count() const noexcept { return running_jobs_; }
-  /// Sum of Job::work_units waiting in the queue — the backlog signal an
-  /// admission router consults when spreading load across clusters
-  /// (trace::FleetRouter models it open-loop; a live router would read this
-  /// directly). Maintained by the queue on push/pop — O(1).
-  double queued_work_units() const noexcept {
-    return queue_.total_work_units();
-  }
   const JobQueue& queue() const noexcept { return queue_; }
 
   // --- Telemetry accessors (obs sampler reads; all O(1)) ------------------
@@ -295,11 +290,10 @@ class Cluster {
   /// step, so the all-busy case must exit on one compare instead of a
   /// bitmap scan.
   std::size_t busy_nodes_ = 0;
-  /// Idle node indices, ascending — the exact probe order of the bitmap
-  /// scan it replaces. A saturated replay step frees one node per
-  /// completion, so dispatch probes one entry here instead of walking all
-  /// N bitmap slots per pass. Invariant: holds exactly the indices with
-  /// node_busy_[i] == 0, sorted.
+  /// Idle node indices, ascending — dispatch's probe order. A saturated
+  /// replay step frees one node per completion, so dispatch probes one
+  /// entry here instead of walking all N bitmap slots per pass. Invariant:
+  /// holds exactly the indices with node_busy_[i] == 0, sorted.
   std::vector<std::uint32_t> idle_nodes_;
   /// Down bitmap + count + down-since clocks of the fault session calls
   /// (fail_node / recover_node): a down node is in neither idle_nodes_ nor
@@ -319,8 +313,8 @@ class Cluster {
   /// Busy nodes whose cap is off the lattice; nonzero forces the walk.
   std::size_t off_lattice_caps_ = 0;
   /// Id of the in-flight profile run per node (-1 = none). A node runs at
-  /// most one profile job at a time (profile runs are exclusive), so a slot
-  /// replaces the per-node vector the old linear find/erase walked.
+  /// most one profile job at a time (profile runs are exclusive), so one
+  /// slot per node suffices.
   std::vector<JobId> profiling_job_;
   /// Authoritative per-node next-completion time (+inf when idle).
   std::vector<double> node_next_;

@@ -163,8 +163,7 @@ std::optional<DispatchPlan> CoScheduler::next(JobQueue& queue, double now,
 std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
                                                        double now,
                                                        double max_cap_watts) {
-  const std::size_t ready = queue.ready_count(now);
-  if (ready == 0) return std::nullopt;
+  if (queue.empty()) return std::nullopt;
   if (max_cap_watts < min_cap()) return std::nullopt;  // budget exhausted
 
   // The headroom picks the exclusive dispatch cap and the decision-table
@@ -183,11 +182,11 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
                            : fixed_fits                  ? levels.size() + 1
                                                          : level;
 
-  // Pivot: the first ready job not waiting on an in-flight profile run of its
-  // own application (only one profile run per app may be outstanding).
+  // Pivot: the first queued job not waiting on an in-flight profile run of
+  // its own application (only one profile run per app may be outstanding).
   std::optional<std::size_t> pivot;
   AppId pivot_app = kNoSymbol;
-  for (std::size_t i = 0; i < ready; ++i) {
+  for (std::size_t i = 0; i < queue.size(); ++i) {
     const AppId app = queue.peek(i).app_id;
     if (!profiling_in_flight(app)) {
       pivot = i;
@@ -196,6 +195,7 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
     }
   }
   if (!pivot.has_value()) return std::nullopt;
+  queue.peek(*pivot).require_arrived(now);
 
   DispatchPlan plan;
   plan.power_cap_watts = fixed_fits ? *policy_.fixed_power_cap : levels[level];
@@ -209,7 +209,8 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
   }
 
   // Scan the window beyond the pivot for the best acceptable partner.
-  const std::size_t window = std::min(ready, *pivot + tuning_.pairing_window + 1);
+  const std::size_t window =
+      std::min(queue.size(), *pivot + tuning_.pairing_window + 1);
   std::optional<std::size_t> best_index;
   core::Decision best_decision;
   for (std::size_t i = *pivot + 1; i < window; ++i) {
@@ -231,6 +232,7 @@ std::optional<DispatchPlan> CoScheduler::next_in_batch(JobQueue& queue,
     return plan;  // exclusive, no feasible partner in the window
   }
 
+  queue.peek(*best_index).require_arrived(now);
   // Pop the partner first (higher index) so the pivot index stays valid.
   plan.job2 = queue.pop_at(*best_index);
   plan.job1 = queue.pop_at(*pivot);

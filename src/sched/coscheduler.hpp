@@ -38,7 +38,7 @@ struct DispatchPlan {
 
 /// Knobs controlling when a candidate pair is worth dispatching together.
 struct SchedulerTuning {
-  /// How many ready jobs beyond the pivot are scanned for a partner.
+  /// How many queued jobs beyond the pivot are scanned for a partner.
   std::size_t pairing_window = 8;
   /// Minimum *predicted* weighted speedup to co-schedule. 1.0 is the
   /// break-even against time sharing; the margin absorbs model error (the
@@ -84,11 +84,12 @@ class CoScheduler {
   /// *completion* (between batches) and interning never bumps the revision.
   void begin_batch();
 
-  /// Plan the next dispatch from the queue (jobs ready at `now`) inside a
-  /// batch opened by begin_batch; nullopt when no job is ready, every ready
-  /// job is waiting for an in-flight profile run of its application, or
+  /// Plan the next dispatch from the queue at `now` inside a batch opened by
+  /// begin_batch; nullopt when the queue is empty, every queued job is
+  /// waiting for an in-flight profile run of its application, or
   /// `max_cap_watts` (what remains of a cluster power budget) is below every
-  /// cap the optimizer may choose.
+  /// cap the optimizer may choose. Throws ContractViolation when a job it
+  /// would dispatch has not arrived (submit_time > now; see JobQueue).
   std::optional<DispatchPlan> next_in_batch(
       JobQueue& queue, double now,
       double max_cap_watts = std::numeric_limits<double>::infinity());

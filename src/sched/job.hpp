@@ -48,10 +48,13 @@ struct Job {
   bool started() const noexcept { return start_time >= 0.0; }
   bool finished() const noexcept { return finish_time >= 0.0; }
   void validate() const;
+  /// Throws ContractViolation when the job has not arrived by `now`: the
+  /// dispatch-time face of JobQueue's arrival contract.
+  void require_arrived(double now) const;
 };
 
 static_assert(std::is_trivially_copyable_v<Job>,
-              "Job must stay a plain value (JobQueue keeps it in raw arena slots)");
+              "Job must stay a plain value (JobQueue and nodes copy it by field)");
 static_assert(sizeof(Job) <= 72, "Job is copied on every queue and node move");
 
 }  // namespace migopt::sched

@@ -734,7 +734,7 @@ FleetReport FleetEngine::replay(const Trace& fleet_trace) const {
         3600.0 * static_cast<double>(report.jobs_completed) /
         report.makespan_seconds;
   // Fleet symbols are first-appearance order; the report contract is
-  // name-sorted rows (what the string-keyed merge map used to yield).
+  // name-sorted rows.
   std::vector<std::size_t> order;
   order.reserve(tenants.size());
   for (std::size_t i = 0; i < tenants.size(); ++i)

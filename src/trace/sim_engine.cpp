@@ -707,7 +707,7 @@ SimReport replay_impl(const SimConfig& config, Source& source,
     report.jobs_per_hour = 3600.0 * static_cast<double>(completed) /
                            report.cluster.makespan_seconds;
 
-  // Names sorted for the report (what the string-keyed map used to yield).
+  // The report contract is name-sorted tenant rows.
   // A routed shard's accumulator is indexed by *fleet-wide* tenant ids, so
   // tenants the router sent elsewhere sit at submitted == 0 and are skipped
   // (a plain trace interns tenants only on arrival — no zero rows exist).

@@ -57,8 +57,7 @@ struct SimConfig {
   /// samples queue depth, node occupancy, standing budget, dispatch and
   /// completion counts, cache/memo hit rates, and per-tenant backlog at
   /// event-loop steps (sample times land on event times). The series lands
-  /// in SimReport::telemetry. Replaces the old sample_interval_seconds
-  /// queue-depth series; the shared legacy columns are bit-identical.
+  /// in SimReport::telemetry.
   obs::SamplerConfig telemetry;
   /// Optional deterministic metrics sink (non-owning; null = disabled, the
   /// no-op fast path). The engine records queue-wait/slowdown histograms on

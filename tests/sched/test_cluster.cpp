@@ -147,6 +147,26 @@ TEST(Cluster, StaggeredSubmitTimesRespected) {
   EXPECT_GE(report.makespan_seconds, 1000.0);
 }
 
+// The queue holds only arrived jobs: the plain-FIFO dispatch rejects a
+// queued job whose submit time is still ahead of the clock, leaves it
+// queued, and dispatches it once the clock reaches it.
+TEST(Cluster, FifoDispatchRejectsJobBeforeItArrives) {
+  auto allocator = make_allocator();
+  CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  ClusterConfig config;
+  config.node_count = 1;
+  config.enable_coscheduling = false;
+  Cluster cluster(config);
+  cluster.begin_session(scheduler);
+  Job job = mixed_job_set(scheduler).front();
+  job.submit_time = 100.0;
+  cluster.submit(job);
+  EXPECT_THROW(cluster.dispatch(scheduler, 0.0), ContractViolation);
+  EXPECT_EQ(cluster.queued_count(), 1u);
+  EXPECT_EQ(cluster.dispatch(scheduler, 100.0), 1u);
+  EXPECT_EQ(cluster.running_count(), 1u);
+}
+
 TEST(Cluster, EnergyAccountingSumsNodes) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem2(0.2));

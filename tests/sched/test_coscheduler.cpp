@@ -57,13 +57,27 @@ TEST(CoScheduler, AcceptsFixedCapOnTheTrainedGrid) {
   EXPECT_TRUE(scheduler.next(queue, 0.0).has_value());
 }
 
+// The queue holds only arrived jobs: a job queued before its submit time is
+// a producer bug, rejected loudly instead of dispatched early. The
+// rejection leaves the queue untouched, so the job dispatches on time.
 TEST(CoScheduler, FutureJobsNotDispatchedEarly) {
   auto allocator = make_allocator();
   CoScheduler scheduler(allocator, core::Policy::problem1(230.0, 0.2));
   JobQueue queue;
   queue.push(make_job(scheduler, 0, "sgemm", /*submit=*/100.0));
-  EXPECT_FALSE(scheduler.next(queue, 0.0).has_value());
+  EXPECT_THROW(scheduler.next(queue, 0.0), ContractViolation);
+  EXPECT_EQ(queue.size(), 1u);
   EXPECT_TRUE(scheduler.next(queue, 100.0).has_value());
+
+  // The same holds for a window partner behind an arrived pivot
+  // (igemm4 + stream is an accepted pair, see the test below).
+  queue.push(make_job(scheduler, 1, "igemm4"));
+  queue.push(make_job(scheduler, 2, "stream", /*submit=*/100.0));
+  EXPECT_THROW(scheduler.next(queue, 0.0), ContractViolation);
+  EXPECT_EQ(queue.size(), 2u);
+  const auto plan = scheduler.next(queue, 100.0);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_TRUE(plan->job2.has_value());
 }
 
 TEST(CoScheduler, PairsHeadWithBestWindowPartner) {

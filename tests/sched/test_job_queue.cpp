@@ -120,124 +120,11 @@ TEST(JobQueue, NegativePrioritySinksBehindDefault) {
   EXPECT_EQ(queue.pop_front().id, 2);
 }
 
-// The fleet router's load model polls this per admission decision, so it is
-// a running O(1) total — verify it tracks every mutation path exactly.
-TEST(JobQueue, TotalWorkUnitsTracksPushesAndPops) {
-  JobQueue queue;
-  EXPECT_DOUBLE_EQ(queue.total_work_units(), 0.0);
-  queue.push(make_job(0, "sgemm"));   // 100 wu each (make_job default)
-  queue.push(make_job(1, "stream"));
-  queue.push(make_job(2, "kmeans"));
-  EXPECT_DOUBLE_EQ(queue.total_work_units(), 300.0);
-  queue.pop_front();
-  EXPECT_DOUBLE_EQ(queue.total_work_units(), 200.0);
-  queue.pop_at(1);  // removes the mid-queue job, not just the head
-  EXPECT_DOUBLE_EQ(queue.total_work_units(), 100.0);
-  // Draining the queue resets the total to exactly zero — no FP residue
-  // accumulates across sessions.
-  queue.pop_front();
-  EXPECT_EQ(queue.total_work_units(), 0.0);
-}
-
-TEST(JobQueue, ReadyCountHonorsSubmitTimes) {
-  JobQueue queue;
-  queue.push(make_job(0, "sgemm", 0.0));
-  queue.push(make_job(1, "stream", 5.0));
-  queue.push(make_job(2, "kmeans", 10.0));
-  EXPECT_EQ(queue.ready_count(0.0), 1u);
-  EXPECT_EQ(queue.ready_count(5.0), 2u);
-  EXPECT_EQ(queue.ready_count(100.0), 3u);
-  // The clock may also move backwards between sessions: full rescan.
-  EXPECT_EQ(queue.ready_count(5.0), 2u);
-  EXPECT_EQ(queue.ready_count(0.0), 1u);
-}
-
-// The cached ready prefix must be invalidated (or adjusted) by every
-// mutation. Each block is a mutation pattern that once had a stale-cache
-// failure mode: the probe before the mutation primes the cache, the probe
-// after must see the new truth.
-TEST(JobQueue, ReadyCountCacheInvalidatedByPushAndPop) {
-  JobQueue queue;
-  queue.push(make_job(0, "sgemm", 0.0));
-  queue.push(make_job(1, "stream", 20.0));
-  EXPECT_EQ(queue.ready_count(10.0), 1u);  // prime: gate at index 1
-
-  // Push of a ready job inside the prefix (higher priority jumps the gate).
-  queue.push(make_job(2, "kmeans", 0.0, 1));
-  EXPECT_EQ(queue.ready_count(10.0), 2u);  // {2, 0} ready, 1 still gates
-
-  // Push of a future job that lands inside the prefix becomes the new gate.
-  queue.push(make_job(3, "needle", 15.0, 2));  // front of the queue, future
-  EXPECT_EQ(queue.ready_count(10.0), 0u);
-
-  // Popping the gate re-opens everything behind it.
-  EXPECT_EQ(queue.pop_front().id, 3);
-  EXPECT_EQ(queue.ready_count(10.0), 2u);
-
-  // pop_at inside the prefix shrinks it by one.
-  EXPECT_EQ(queue.pop_at(1).id, 0);
-  EXPECT_EQ(queue.ready_count(10.0), 1u);
-
-  // pop_at of the gate job extends the prefix over what it was hiding.
-  queue.push(make_job(4, "dgemm", 0.0, -1));  // ready, but ordered last
-  EXPECT_EQ(queue.ready_count(10.0), 1u);     // {2} ready, 1 gates 4
-  EXPECT_EQ(queue.pop_at(1).id, 1);           // remove the gate
-  EXPECT_EQ(queue.ready_count(10.0), 2u);     // {2, 4}
-}
-
-TEST(JobQueue, ReadyCountCacheMatchesBruteForceUnderRandomOps) {
-  // Randomized cross-check: every cached answer must equal a fresh linear
-  // scan over an identically mutated reference deque.
-  Rng rng(2024);
-  JobQueue queue;
-  std::vector<Job> reference;  // mirrors queue order
-  const auto reference_push = [&](Job job) {
-    auto it = reference.end();
-    while (it != reference.begin() && std::prev(it)->priority < job.priority)
-      --it;
-    reference.insert(it, std::move(job));
-  };
-  const auto reference_ready = [&](double now) {
-    std::size_t count = 0;
-    for (const Job& job : reference) {
-      if (job.submit_time > now) break;
-      ++count;
-    }
-    return count;
-  };
-
-  double now = 0.0;
-  int next_id = 0;
-  for (int step = 0; step < 2000; ++step) {
-    const std::uint64_t op = rng.next() % 10;
-    if (op < 4 || queue.empty()) {
-      const double submit = now + static_cast<double>(rng.next() % 7) - 3.0;
-      const int priority = static_cast<int>(rng.next() % 3);
-      Job job = make_job(next_id++, "sgemm", std::max(0.0, submit), priority);
-      queue.push(job);
-      reference_push(job);
-    } else if (op < 6) {
-      EXPECT_EQ(queue.pop_front().id, reference.front().id);
-      reference.erase(reference.begin());
-    } else if (op < 8) {
-      const std::size_t index = rng.next() % queue.size();
-      EXPECT_EQ(queue.pop_at(index).id, reference[index].id);
-      reference.erase(reference.begin() +
-                      static_cast<std::ptrdiff_t>(index));
-    } else {
-      now += static_cast<double>(rng.next() % 3);  // clock moves forward
-    }
-    ASSERT_EQ(queue.ready_count(now), reference_ready(now))
-        << "step " << step << " at now=" << now;
-    ASSERT_EQ(queue.size(), reference.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// SoA ↔ AoS equivalence: the queue stores Jobs in arena chunks addressed by
-// slot id with a separate key column, so every field must survive the trip
-// bit-for-bit against a plain array-of-structs reference under the same
-// mutation sequence — not just the id the ordering tests check.
+// Storage ↔ reference equivalence: pops slide entries and retire them at a
+// head offset, so every field must survive the trip bit-for-bit against a
+// plain vector reference under the same mutation sequence — not just the
+// id the ordering tests check.
 // ---------------------------------------------------------------------------
 
 void expect_jobs_identical(const Job& a, const Job& b) {
@@ -290,7 +177,7 @@ TEST(JobQueue, SoAStorageMatchesAoSReferenceUnderRandomOps) {
     }
     ASSERT_EQ(queue.size(), reference.size());
     if (!queue.empty()) {
-      // Peeks read through the slot indirection without moving anything.
+      // Peeks read at the head offset without moving anything.
       const std::size_t probe = rng.next() % queue.size();
       expect_jobs_identical(queue.peek(probe), reference[probe]);
     }
@@ -302,14 +189,13 @@ TEST(JobQueue, SoAStorageMatchesAoSReferenceUnderRandomOps) {
 }
 
 TEST(JobQueue, ClearRecyclesStorageAndReplaysIdentically) {
-  // clear() is what Cluster::begin_session calls between sessions: the arena
-  // chunks and slot free list survive, and an identical push/pop sequence in
-  // the next epoch must behave identically (this is the queue-level face of
-  // Arena's deterministic reset).
+  // clear() is what Cluster::begin_session calls between sessions: the
+  // storage's capacity survives, and an identical push/pop sequence in the
+  // next epoch must behave identically.
   JobQueue queue;
   const auto run_epoch = [&queue] {
     std::vector<int> drained;
-    for (int i = 0; i < 600; ++i)  // > kChunkJobs, so multiple chunks
+    for (int i = 0; i < 600; ++i)
       queue.push(make_job(i, "sgemm", static_cast<double>(i % 5), i % 3));
     while (!queue.empty()) drained.push_back(queue.pop_front().id);
     return drained;
@@ -317,36 +203,34 @@ TEST(JobQueue, ClearRecyclesStorageAndReplaysIdentically) {
   const std::vector<int> first = run_epoch();
   queue.clear();
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.total_work_units(), 0.0);
   const std::vector<int> second = run_epoch();
   EXPECT_EQ(first, second);
 
-  // clear() with jobs still queued also resets the backlog signal exactly.
+  // clear() with jobs still queued empties the queue, which keeps working.
   queue.push(make_job(0, "stream"));
   queue.push(make_job(1, "kmeans"));
   queue.clear();
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.total_work_units(), 0.0);
-  EXPECT_EQ(queue.ready_count(100.0), 0u);
+  EXPECT_EQ(queue.size(), 0u);
+  queue.push(make_job(2, "needle"));
+  EXPECT_EQ(queue.pop_front().id, 2);
 }
 
 // Deep-queue equivalence: pops retire entries at a head offset and the dead
 // prefix is compacted once it is >= 64 entries and at least as long as the
 // live part. Drive the queue past 4k entries with scheduler-shaped pops
-// (within 8 of the head), mixed priorities and a moving clock, against a
-// deque reference; then land the dead prefix exactly on the compaction
-// boundary, and move, swap and clear the queue while the head is offset.
+// (within 8 of the head) and mixed priorities against a deque reference;
+// then land the dead prefix exactly on the compaction boundary, and move,
+// swap and clear the queue while the head is offset.
 TEST(JobQueue, DeepQueueHeadOffsetMatchesReferenceUnderChurn) {
   Rng rng(4099);
   JobQueue queue;
   std::deque<Job> reference;  // AoS mirror in queue order
   const char* apps[] = {"sgemm", "stream", "kmeans", "needle"};
   int next_id = 0;
-  double now = 0.0;
 
-  const auto push = [&](JobQueue& q, std::deque<Job>& ref, int priority,
-                        double submit) {
-    Job job = make_job(next_id, apps[next_id % 4], submit, priority);
+  const auto push = [&](JobQueue& q, std::deque<Job>& ref, int priority) {
+    Job job = make_job(next_id, apps[next_id % 4], 0.0, priority);
     job.work_units = 1.0 + static_cast<double>(next_id % 97);
     job.app_id = static_cast<AppId>(next_id % 4);
     ++next_id;
@@ -355,15 +239,9 @@ TEST(JobQueue, DeepQueueHeadOffsetMatchesReferenceUnderChurn) {
     while (it != ref.begin() && std::prev(it)->priority < job.priority) --it;
     ref.insert(it, job);
   };
-  const auto reference_ready = [](const std::deque<Job>& ref, double at) {
-    std::size_t count = 0;
-    while (count < ref.size() && ref[count].submit_time <= at) ++count;
-    return count;
-  };
-  const auto expect_same = [&](const JobQueue& q, const std::deque<Job>& ref,
-                               double at) {
+  const auto expect_same = [&](const JobQueue& q, const std::deque<Job>& ref) {
     ASSERT_EQ(q.size(), ref.size());
-    ASSERT_EQ(q.ready_count(at), reference_ready(ref, at));
+    ASSERT_EQ(q.empty(), ref.empty());
     for (std::size_t i = 0; i < ref.size(); ++i)
       ASSERT_EQ(q.peek(i).id, ref[i].id) << "position " << i;
   };
@@ -373,53 +251,47 @@ TEST(JobQueue, DeepQueueHeadOffsetMatchesReferenceUnderChurn) {
     ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(index));
   };
 
-  // Fill past 4k: mostly ready jobs, a few future ones that gate the prefix.
+  // Fill past 4k.
   for (int i = 0; i < 4200; ++i)
-    push(queue, reference, static_cast<int>(rng.next() % 3),
-         static_cast<double>(rng.next() % 50));
-  expect_same(queue, reference, now);
+    push(queue, reference, static_cast<int>(rng.next() % 3));
+  expect_same(queue, reference);
 
   // Steady churn at depth >= 4096: every pop lands within the pairing
   // window, so the head offset (and its compactions) carries all the load.
   for (int step = 0; step < 30000; ++step) {
     const std::uint64_t op = rng.next() % 16;
     if (op < 7 || reference.size() < 4096) {
-      push(queue, reference, static_cast<int>(rng.next() % 3),
-           now + static_cast<double>(rng.next() % 5));
-    } else if (op < 13) {
+      push(queue, reference, static_cast<int>(rng.next() % 3));
+    } else if (op < 14) {
       pop_near_head(queue, reference);
-    } else if (op < 15) {
+    } else {
       expect_jobs_identical(queue.pop_front(), reference.front());
       reference.pop_front();
-    } else {
-      now += 1.0;
     }
-    ASSERT_EQ(queue.ready_count(now), reference_ready(reference, now))
-        << "step " << step;
     ASSERT_EQ(queue.size(), reference.size());
     const std::size_t probe = rng.next() % reference.size();
     ASSERT_EQ(queue.peek(probe).id, reference[probe].id) << "step " << step;
   }
-  expect_same(queue, reference, now);
+  expect_same(queue, reference);
 
   // Exact compaction boundary: from a freshly compacted 4096-deep queue
   // (uniform priority), 2047 front pops leave a dead prefix one short of
   // the live part; pop 2048 makes them equal and compacts.
   JobQueue fresh;
   std::deque<Job> fresh_ref;
-  for (int i = 0; i < 4096; ++i) push(fresh, fresh_ref, 0, 0.0);
+  for (int i = 0; i < 4096; ++i) push(fresh, fresh_ref, 0);
   for (int i = 0; i < 2047; ++i) {
     expect_jobs_identical(fresh.pop_front(), fresh_ref.front());
     fresh_ref.pop_front();
   }
-  expect_same(fresh, fresh_ref, 0.0);
+  expect_same(fresh, fresh_ref);
   for (int i = 0; i < 2; ++i) {  // onto and past the boundary
     pop_near_head(fresh, fresh_ref);
-    expect_same(fresh, fresh_ref, 0.0);
+    expect_same(fresh, fresh_ref);
   }
   // A high-priority push after the boundary still lands at the front.
-  push(fresh, fresh_ref, 9, 0.0);
-  expect_same(fresh, fresh_ref, 0.0);
+  push(fresh, fresh_ref, 9);
+  expect_same(fresh, fresh_ref);
   EXPECT_EQ(fresh.front().priority, 9);
 
   // Leave an offset head (a few pops, no compaction), then move-assign,
@@ -428,35 +300,41 @@ TEST(JobQueue, DeepQueueHeadOffsetMatchesReferenceUnderChurn) {
   for (int i = 0; i < 30; ++i) pop_near_head(fresh, fresh_ref);
   JobQueue moved;
   moved = std::move(queue);
-  expect_same(moved, reference, now);
+  expect_same(moved, reference);
+  // The moved-from queue is valid and empty, and keeps working.
+  std::deque<Job> moved_from_ref;
+  expect_same(queue, moved_from_ref);
+  push(queue, moved_from_ref, 2);
+  push(queue, moved_from_ref, 0);
+  expect_same(queue, moved_from_ref);
+  JobQueue constructed(std::move(moved));
+  expect_same(constructed, reference);
+  expect_same(moved, std::deque<Job>{});
+  moved = std::move(constructed);
   std::swap(moved, fresh);
   std::swap(reference, fresh_ref);
-  expect_same(moved, reference, 0.0);
-  expect_same(fresh, fresh_ref, now);
+  expect_same(moved, reference);
+  expect_same(fresh, fresh_ref);
   for (int i = 0; i < 100; ++i) {
     pop_near_head(moved, reference);
-    push(moved, reference, static_cast<int>(rng.next() % 3), 0.0);
+    push(moved, reference, static_cast<int>(rng.next() % 3));
   }
-  expect_same(moved, reference, 0.0);
+  expect_same(moved, reference);
 
   fresh.clear();
   EXPECT_TRUE(fresh.empty());
-  EXPECT_EQ(fresh.ready_count(now), 0u);
   fresh_ref.clear();
-  push(fresh, fresh_ref, 0, now + 1.0);  // a future job gates the prefix
-  push(fresh, fresh_ref, 0, 0.0);
-  expect_same(fresh, fresh_ref, now);
-  EXPECT_EQ(fresh.ready_count(now), 0u);
-  EXPECT_EQ(fresh.ready_count(now + 1.0), 2u);
+  push(fresh, fresh_ref, 0);
+  push(fresh, fresh_ref, 1);
+  expect_same(fresh, fresh_ref);
 
   // Draining to empty resets the storage; the queue keeps working after.
   while (!moved.empty()) {
     expect_jobs_identical(moved.pop_front(), reference.front());
     reference.pop_front();
   }
-  EXPECT_EQ(moved.total_work_units(), 0.0);
-  push(moved, reference, 1, 0.0);
-  expect_same(moved, reference, 0.0);
+  push(moved, reference, 1);
+  expect_same(moved, reference);
 }
 
 }  // namespace
