@@ -20,26 +20,13 @@ void throw_missing_pair_coeffs(const PerfModel& model,
       ModelKey::make(state.gpcs_app1, state.option, power_cap_watts);
   const ModelKey key2 =
       ModelKey::make(state.gpcs_app2, state.option, power_cap_watts);
-  if (!model.has_scalability(key1)) model.scalability(key1);
-  if (!model.has_interference(key1)) model.interference(key1);
-  if (!model.has_scalability(key2)) model.scalability(key2);
-  if (!model.has_interference(key2)) model.interference(key2);
-  MIGOPT_ENSURE(false, "dense coefficient index out of sync with the maps");
+  model.scalability(key1);
+  model.interference(key1);
+  model.scalability(key2);
+  model.interference(key2);
+  MIGOPT_REQUIRE(false, "dense keys were not interned against this model's "
+                        "current revision");
 }
-
-namespace {
-
-[[noreturn]] void throw_missing_member_coeffs(const PerfModel& model, int gpcs,
-                                              gpusim::MemOption option,
-                                              double power_cap_watts,
-                                              bool need_interference) {
-  const ModelKey key = ModelKey::make(gpcs, option, power_cap_watts);
-  if (!model.has_scalability(key)) model.scalability(key);
-  if (need_interference && !model.has_interference(key)) model.interference(key);
-  MIGOPT_ENSURE(false, "dense coefficient index out of sync with the maps");
-}
-
-}  // namespace
 
 }  // namespace detail
 
@@ -146,23 +133,16 @@ GroupMetrics predict_group_prepared(const PerfModel& model,
                  "profile count does not match the group state");
   const std::size_t n = prepared.size();
   const bool need_interference = n > 1;
-  const int watts = cap_grid_watts(power_cap_watts);
   std::vector<double> relperf(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const int gpcs = state.gpcs_of(i);
-    const PerfModel::DenseKey key =
-        watts > 0 ? model.dense_key(gpcs, state.option, watts)
-                  : PerfModel::kNoKey;
-    if (!model.dense_has_scalability(key) ||
-        (need_interference && !model.dense_has_interference(key))) [[unlikely]]
-      detail::throw_missing_member_coeffs(model, gpcs, state.option,
-                                          power_cap_watts, need_interference);
-    const double* c = model.scalability_row(key);
+    const ModelKey key =
+        ModelKey::make(state.gpcs_of(i), state.option, power_cap_watts);
+    const PerfModel::CVector& c = model.scalability(key);
     double acc = 0.0;
     for (std::size_t b = 0; b < kHBasisCount; ++b)
       acc += c[b] * prepared.h[i][b];
     if (need_interference) {
-      const double* d = model.interference_row(key);
+      const PerfModel::DVector& d = model.interference(key);
       for (std::size_t other = 0; other < n; ++other) {
         if (other == i) continue;
         for (std::size_t b = 0; b < kJBasisCount; ++b)

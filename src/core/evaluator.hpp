@@ -6,8 +6,8 @@
 // The prediction side is layered for the search hot path: `prepare_pair` /
 // `prepare_group` compute the H/J basis vectors once per profile, and the
 // `*_prepared` scoring kernels sweep (state, cap) candidates against the
-// model's dense coefficient rows without recomputing features, taking a tree
-// lookup, or allocating. `predict_pair` / `predict_group` remain the
+// model's dense coefficient rows without recomputing features or
+// allocating. `predict_pair` / `predict_group` remain the
 // convenience wrappers and produce bit-identical numbers.
 #pragma once
 
@@ -75,7 +75,7 @@ inline PreparedPair prepare_pair(const prof::CounterSet& profile1,
 
 namespace detail {
 
-/// Cold path shared by the prepared kernels: reconstruct the ModelKeys for
+/// Cold path of predict_pair_prepared: reconstruct the ModelKeys for
 /// (state, cap) and throw the same ContractViolation `predict` would.
 [[noreturn]] void throw_missing_pair_coeffs(const PerfModel& model,
                                             const PartitionState& state,

@@ -12,27 +12,37 @@ namespace migopt::core {
 
 namespace {
 
-// Sanity bounds for dense interning: the slot arrays are direct-addressed by
-// GPC count / integer watts, so reject keys that would make them absurd.
+// Sanity bounds: the slot arrays are direct-addressed by GPC count / integer
+// watts, so reject keys that would make them absurd.
 constexpr int kMaxGpcs = 4096;
 constexpr int kMaxCapWatts = 100000;  // 100 kW
 
-// Every entry (across both tables) contributes at most one distinct GPC and
-// one distinct cap value, so bounding the combined entry count guarantees
-// the int16 slot indices in reindex() can never overflow — which keeps
-// reindex() non-throwing on valid models (it runs from ~BatchUpdate, where
-// an escaping exception would terminate the process).
-constexpr std::size_t kMaxTotalEntries = 32767;
+// Bound on grid rows (GPC values × 2 options × cap values). A trained model
+// uses a few dozen; the bound keeps a hostile model file from asking for
+// gigabytes, and keeps every slot index within int16 (at most 2^15 caps).
+constexpr std::size_t kMaxRows = std::size_t{1} << 16;
 
-void check_key_bounds(const ModelKey& key, std::size_t total_entries) {
-  MIGOPT_REQUIRE(key.gpcs > 0 && key.gpcs <= kMaxGpcs,
-                 "model key GPC count out of range: " + std::to_string(key.gpcs));
-  MIGOPT_REQUIRE(key.power_cap_watts > 0 && key.power_cap_watts <= kMaxCapWatts,
-                 "model key power cap out of range: " +
-                     std::to_string(key.power_cap_watts) + " W");
-  MIGOPT_REQUIRE(total_entries < kMaxTotalEntries,
-                 "coefficient tables are full (" +
-                     std::to_string(kMaxTotalEntries) + " combined entries)");
+template <std::size_t N>
+void require_finite(const std::array<double, N>& coeffs, const char* kind,
+                    const ModelKey& key) {
+  MIGOPT_REQUIRE(std::all_of(coeffs.begin(), coeffs.end(),
+                             [](double v) { return std::isfinite(v); }),
+                 std::string("non-finite ") + kind + " coefficient for " +
+                     key.to_string());
+}
+
+void sort_unique(std::vector<int>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+}
+
+std::vector<std::int16_t> slots_of(const std::vector<int>& sorted_values) {
+  std::vector<std::int16_t> slots(
+      static_cast<std::size_t>(sorted_values.back()) + 1, -1);
+  for (std::size_t i = 0; i < sorted_values.size(); ++i)
+    slots[static_cast<std::size_t>(sorted_values[i])] =
+        static_cast<std::int16_t>(i);
+  return slots;
 }
 
 }  // namespace
@@ -55,114 +65,107 @@ std::string ModelKey::to_string() const {
 }
 
 void PerfModel::set_scalability(const ModelKey& key, const CVector& c) {
-  check_key_bounds(key, c_.size() + d_.size());
-  c_[key] = c;
+  require_finite(c, "scalability", key);
+  const std::size_t row = row_of(key);
+  c_rows_[row] = c;
+  has_c_[row] = 1;
   ++revision_;
-  if (batch_depth_ == 0) reindex();
 }
 
 void PerfModel::set_interference(const ModelKey& key, const DVector& d) {
-  check_key_bounds(key, c_.size() + d_.size());
-  d_[key] = d;
+  require_finite(d, "interference", key);
+  const std::size_t row = row_of(key);
+  d_rows_[row] = d;
+  has_d_[row] = 1;
   ++revision_;
-  if (batch_depth_ == 0) reindex();
 }
 
-void PerfModel::reindex() {
-  // Bump here as well as in set_*: consumers that interned dense keys while a
-  // BatchUpdate was open (stale slot arrays) must fail their revision check
-  // once the batch closes and the slots move, not read the wrong rows.
-  ++revision_;
-  int max_gpcs = 0;
-  int max_cap = 0;
-  std::vector<int> gpcs_values;
-  std::vector<int> cap_values;
-  const auto collect = [&](const ModelKey& key) {
-    gpcs_values.push_back(key.gpcs);
-    cap_values.push_back(key.power_cap_watts);
-    max_gpcs = std::max(max_gpcs, key.gpcs);
-    max_cap = std::max(max_cap, key.power_cap_watts);
-  };
-  for (const auto& [key, coeffs] : c_) collect(key);
-  for (const auto& [key, coeffs] : d_) collect(key);
+std::size_t PerfModel::row_of(const ModelKey& key) {
+  if (dense_key(key) < 0) grow({&key, 1});
+  return static_cast<std::size_t>(dense_key(key));
+}
 
-  std::sort(gpcs_values.begin(), gpcs_values.end());
-  gpcs_values.erase(std::unique(gpcs_values.begin(), gpcs_values.end()),
-                    gpcs_values.end());
-  std::sort(cap_values.begin(), cap_values.end());
-  cap_values.erase(std::unique(cap_values.begin(), cap_values.end()),
-                   cap_values.end());
-
-  // Slot indices are int16. Unreachable: check_key_bounds caps the combined
-  // tables at kMaxTotalEntries entries, and every entry contributes at most
-  // one distinct GPC and one distinct cap value.
-  MIGOPT_ENSURE(gpcs_values.size() <= kMaxTotalEntries &&
-                    cap_values.size() <= kMaxTotalEntries,
-                "too many distinct GPC/cap values to intern densely");
-
-  gpc_slot_.assign(static_cast<std::size_t>(max_gpcs) + 1, -1);
-  cap_slot_.assign(static_cast<std::size_t>(max_cap) + 1, -1);
-  for (std::size_t i = 0; i < gpcs_values.size(); ++i)
-    gpc_slot_[static_cast<std::size_t>(gpcs_values[i])] =
-        static_cast<std::int16_t>(i);
-  for (std::size_t i = 0; i < cap_values.size(); ++i)
-    cap_slot_[static_cast<std::size_t>(cap_values[i])] =
-        static_cast<std::int16_t>(i);
-  cap_count_ = cap_values.size();
-
-  const std::size_t rows = gpcs_values.size() * 2 * cap_count_;
-  c_flat_.assign(rows * kHBasisCount, 0.0);
-  d_flat_.assign(rows * kJBasisCount, 0.0);
-  has_c_.assign(rows, 0);
-  has_d_.assign(rows, 0);
-
-  for (const auto& [key, coeffs] : c_) {
-    const DenseKey k = dense_key(key);
-    MIGOPT_ENSURE(k >= 0, "dense interning missed a scalability key");
-    has_c_[static_cast<std::size_t>(k)] = 1;
-    std::copy(coeffs.begin(), coeffs.end(),
-              c_flat_.begin() + static_cast<std::size_t>(k) * kHBasisCount);
+void PerfModel::grow(std::span<const ModelKey> keys) {
+  // Grow into a fresh grid and swap it in, so a throw leaves *this intact.
+  PerfModel grown;
+  grown.gpc_values_ = gpc_values_;
+  grown.cap_values_ = cap_values_;
+  for (const ModelKey& key : keys) {
+    MIGOPT_REQUIRE(key.gpcs > 0 && key.gpcs <= kMaxGpcs,
+                   "model key GPC count out of range: " +
+                       std::to_string(key.gpcs));
+    MIGOPT_REQUIRE(
+        key.power_cap_watts > 0 && key.power_cap_watts <= kMaxCapWatts,
+        "model key power cap out of range: " +
+            std::to_string(key.power_cap_watts) + " W");
+    grown.gpc_values_.push_back(key.gpcs);
+    grown.cap_values_.push_back(key.power_cap_watts);
   }
-  for (const auto& [key, coeffs] : d_) {
-    const DenseKey k = dense_key(key);
-    MIGOPT_ENSURE(k >= 0, "dense interning missed an interference key");
-    has_d_[static_cast<std::size_t>(k)] = 1;
-    std::copy(coeffs.begin(), coeffs.end(),
-              d_flat_.begin() + static_cast<std::size_t>(k) * kJBasisCount);
+  sort_unique(grown.gpc_values_);
+  sort_unique(grown.cap_values_);
+  if (grown.gpc_values_.size() == gpc_values_.size() &&
+      grown.cap_values_.size() == cap_values_.size())
+    return;
+  const std::size_t rows =
+      grown.gpc_values_.size() * 2 * grown.cap_values_.size();
+  MIGOPT_REQUIRE(rows <= kMaxRows,
+                 "coefficient grid too large: " +
+                     std::to_string(grown.gpc_values_.size()) +
+                     " GPC counts x " +
+                     std::to_string(grown.cap_values_.size()) + " caps need " +
+                     std::to_string(rows) + " rows, limit " +
+                     std::to_string(kMaxRows));
+  grown.gpc_slot_ = slots_of(grown.gpc_values_);
+  grown.cap_slot_ = slots_of(grown.cap_values_);
+  grown.c_rows_.resize(rows);
+  grown.d_rows_.resize(rows);
+  grown.has_c_.resize(rows);
+  grown.has_d_.resize(rows);
+  for (std::size_t old = 0; old < has_c_.size(); ++old) {
+    const auto row = static_cast<std::size_t>(grown.dense_key(key_of(old)));
+    grown.c_rows_[row] = c_rows_[old];
+    grown.d_rows_[row] = d_rows_[old];
+    grown.has_c_[row] = has_c_[old];
+    grown.has_d_[row] = has_d_[old];
   }
+  grown.revision_ = revision_;
+  *this = std::move(grown);
+}
+
+ModelKey PerfModel::key_of(std::size_t row) const noexcept {
+  const std::size_t caps = cap_values_.size();
+  const std::size_t view = row / caps;  // gpc_slot * 2 + option
+  return ModelKey{gpc_values_[view / 2],
+                  view % 2 == 0 ? gpusim::MemOption::Private
+                                : gpusim::MemOption::Shared,
+                  cap_values_[row % caps]};
 }
 
 bool PerfModel::has_scalability(const ModelKey& key) const noexcept {
-  return c_.find(key) != c_.end();
+  return dense_has_scalability(dense_key(key));
 }
 
 bool PerfModel::has_interference(const ModelKey& key) const noexcept {
-  return d_.find(key) != d_.end();
+  return dense_has_interference(dense_key(key));
 }
 
 const PerfModel::CVector& PerfModel::scalability(const ModelKey& key) const {
-  const auto it = c_.find(key);
-  MIGOPT_REQUIRE(it != c_.end(),
+  const DenseKey k = dense_key(key);
+  MIGOPT_REQUIRE(dense_has_scalability(k),
                  "no scalability coefficients for " + key.to_string());
-  return it->second;
+  return c_rows_[static_cast<std::size_t>(k)];
 }
 
 const PerfModel::DVector& PerfModel::interference(const ModelKey& key) const {
-  const auto it = d_.find(key);
-  MIGOPT_REQUIRE(it != d_.end(),
+  const DenseKey k = dense_key(key);
+  MIGOPT_REQUIRE(dense_has_interference(k),
                  "no interference coefficients for " + key.to_string());
-  return it->second;
+  return d_rows_[static_cast<std::size_t>(k)];
 }
 
 double PerfModel::predict_solo(const ModelKey& key,
                                const prof::CounterSet& profile) const {
-  const DenseKey k = dense_key(key);
-  const double* c;
-  if (dense_has_scalability(k)) {
-    c = scalability_row(k);
-  } else {
-    c = scalability(key).data();  // throws the standard missing-key message
-  }
+  const CVector& c = scalability(key);
   const auto h = basis_h(profile);
   double acc = 0.0;
   for (std::size_t i = 0; i < kHBasisCount; ++i) acc += c[i] * h[i];
@@ -173,13 +176,7 @@ double PerfModel::predict(const ModelKey& key, const prof::CounterSet& self,
                           std::span<const prof::CounterSet> others) const {
   double acc = predict_solo(key, self);
   if (!others.empty()) {
-    const DenseKey k = dense_key(key);
-    const double* d;
-    if (dense_has_interference(k)) {
-      d = interference_row(k);
-    } else {
-      d = interference(key).data();  // throws the standard missing-key message
-    }
+    const DVector& d = interference(key);
     for (const auto& other : others) {
       const auto j = basis_j(other);
       for (std::size_t i = 0; i < kJBasisCount; ++i) acc += d[i] * j[i];
@@ -192,10 +189,18 @@ double PerfModel::clamp_relperf(double predicted) noexcept {
   return std::max(kRelPerfFloor, predicted);
 }
 
+std::size_t PerfModel::scalability_entries() const noexcept {
+  return static_cast<std::size_t>(std::count(has_c_.begin(), has_c_.end(), 1));
+}
+
+std::size_t PerfModel::interference_entries() const noexcept {
+  return static_cast<std::size_t>(std::count(has_d_.begin(), has_d_.end(), 1));
+}
+
 std::vector<ModelKey> PerfModel::scalability_keys() const {
   std::vector<ModelKey> out;
-  out.reserve(c_.size());
-  for (const auto& [key, coeffs] : c_) out.push_back(key);
+  for (std::size_t row = 0; row < has_c_.size(); ++row)
+    if (has_c_[row] != 0) out.push_back(key_of(row));
   return out;
 }
 
@@ -220,53 +225,63 @@ void PerfModel::save(const std::string& path) const {
       row.push_back(i < coeffs.size() ? str::format_exact(coeffs[i]) : "");
     doc.add_row(std::move(row));
   };
-  for (const auto& [key, c] : c_) add(kKindScalability, key, c);
-  for (const auto& [key, d] : d_) add(kKindInterference, key, d);
+  for (std::size_t row = 0; row < has_c_.size(); ++row)
+    if (has_c_[row] != 0) add(kKindScalability, key_of(row), c_rows_[row]);
+  for (std::size_t row = 0; row < has_d_.size(); ++row)
+    if (has_d_[row] != 0) add(kKindInterference, key_of(row), d_rows_[row]);
   doc.save(path);
 }
 
 PerfModel PerfModel::load(const std::string& path) {
   const CsvDocument doc = CsvDocument::load(path);
-  PerfModel model;
-  // One dense re-intern for the whole file instead of one per row. The batch
-  // scope must close before `return model`: whether the return elides or
-  // moves, the guard has to reindex *this* object, not a moved-from shell.
-  {
-    const BatchUpdate batch(model);
-    for (std::size_t r = 0; r < doc.row_count(); ++r) {
-      const double gpcs_value = doc.cell_as_double(r, "gpcs");
-      MIGOPT_REQUIRE(gpcs_value >= 1.0 && gpcs_value <= kMaxGpcs,
-                     "gpcs out of range in model file: " +
-                         str::format_exact(gpcs_value));
-      const int gpcs = static_cast<int>(gpcs_value);
-      MIGOPT_REQUIRE(static_cast<double>(gpcs) == gpcs_value,
-                     "non-integer gpcs in model file: " +
-                         str::format_exact(gpcs_value));
-      const std::string& option = doc.cell(r, "option");
-      MIGOPT_REQUIRE(option == "private" || option == "shared",
-                     "bad option in model file: " + option);
-      // ModelKey::make validates the cap against the integer-watt grid, so a
-      // hand-edited 230.7 W row fails loudly instead of truncating to 230.
-      const ModelKey key = ModelKey::make(
-          gpcs,
-          option == "private" ? gpusim::MemOption::Private
-                              : gpusim::MemOption::Shared,
-          doc.cell_as_double(r, "power_cap_watts"));
+  std::vector<ModelKey> keys;
+  keys.reserve(doc.row_count());
+  for (std::size_t r = 0; r < doc.row_count(); ++r) {
+    const double gpcs_value = doc.cell_as_double(r, "gpcs");
+    MIGOPT_REQUIRE(gpcs_value >= 1.0 && gpcs_value <= kMaxGpcs,
+                   "gpcs out of range in model file: " +
+                       str::format_exact(gpcs_value));
+    const int gpcs = static_cast<int>(gpcs_value);
+    MIGOPT_REQUIRE(static_cast<double>(gpcs) == gpcs_value,
+                   "non-integer gpcs in model file: " +
+                       str::format_exact(gpcs_value));
+    const std::string& option = doc.cell(r, "option");
+    MIGOPT_REQUIRE(option == "private" || option == "shared",
+                   "bad option in model file: " + option);
+    const std::string& kind = doc.cell(r, "kind");
+    MIGOPT_REQUIRE(kind == kKindScalability || kind == kKindInterference,
+                   "bad coefficient kind in model file: " + kind);
+    // ModelKey::make validates the cap against the integer-watt grid, so a
+    // hand-edited 230.7 W row fails loudly instead of truncating to 230.
+    keys.push_back(ModelKey::make(
+        gpcs,
+        option == "private" ? gpusim::MemOption::Private
+                            : gpusim::MemOption::Shared,
+        doc.cell_as_double(r, "power_cap_watts")));
+  }
 
-      const std::string& kind = doc.cell(r, "kind");
-      if (kind == kKindScalability) {
-        CVector c{};
-        for (std::size_t i = 0; i < kHBasisCount; ++i)
-          c[i] = doc.cell_as_double(r, "coeff" + std::to_string(i));
-        model.set_scalability(key, c);
-      } else if (kind == kKindInterference) {
-        DVector d{};
-        for (std::size_t i = 0; i < kJBasisCount; ++i)
-          d[i] = doc.cell_as_double(r, "coeff" + std::to_string(i));
-        model.set_interference(key, d);
-      } else {
-        MIGOPT_REQUIRE(false, "bad coefficient kind in model file: " + kind);
-      }
+  // Size the grid for the whole file at once: growing it key by key would
+  // move every row once per new cap.
+  PerfModel model;
+  model.grow(keys);
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    const ModelKey& key = keys[r];
+    const std::string& kind = doc.cell(r, "kind");
+    const bool scalability = kind == kKindScalability;
+    MIGOPT_REQUIRE(!(scalability ? model.has_scalability(key)
+                                 : model.has_interference(key)),
+                   "duplicate " + kind + " row for " + key.to_string() +
+                       " in model file");
+    if (scalability) {
+      CVector c{};
+      for (std::size_t i = 0; i < kHBasisCount; ++i)
+        c[i] = doc.cell_as_double(r, "coeff" + std::to_string(i));
+      model.set_scalability(key, c);
+    } else {
+      DVector d{};
+      for (std::size_t i = 0; i < kJBasisCount; ++i)
+        d[i] = doc.cell_as_double(r, "coeff" + std::to_string(i));
+      model.set_interference(key, d);
     }
   }
   return model;

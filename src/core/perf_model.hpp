@@ -5,22 +5,25 @@
 // Coefficients are fit independently per hardware state as seen by one
 // application: its GPC count, the LLC/HBM option, and the chip power cap.
 // C comes from exclusive solo runs over the scaling grid; D comes from
-// co-run residuals. Both are stored in this table.
+// co-run residuals.
 //
-// Storage is two-tier. The std::map tables are authoritative and serve
-// build/save/load; every mutation re-interns the (gpcs × option × cap) key
-// space into a dense index backed by flat, index-addressed coefficient
-// arrays, which is what the prediction hot path reads. `dense_key` is a pair
-// of direct array lookups — no tree walk, no hashing — so `predict` and
-// `predict_solo` are O(1) per candidate and the optimizer can pre-intern its
-// whole candidate grid once (see optimizer.hpp).
+// Storage is one dense grid over (gpcs × option × cap), one C row and one D
+// row per cell plus a presence flag each. The sorted GPC and cap value lists
+// give each value a slot; the row of a key is
+// ((gpc_slot * 2 + option) * caps + cap_slot), so rows run in ModelKey order
+// and save() walks them directly. `dense_key` is a pair of direct array
+// lookups — no tree walk, no hashing — so `predict` and `predict_solo` are
+// O(1) per candidate and the optimizer can pre-intern its whole candidate
+// grid once (see optimizer.hpp). set_* writes a row in place; a GPC count or
+// cap the grid has not seen yet grows the grid once, moving existing rows to
+// their new indices, and every set_* bumps revision() so pre-interned keys
+// fail closed.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -69,38 +72,21 @@ class PerfModel {
   using CVector = std::array<double, kHBasisCount>;
   using DVector = std::array<double, kJBasisCount>;
 
-  /// Index of one interned (gpcs, option, cap) combination in the flat
-  /// coefficient arrays; kNoKey when the combination is not interned.
+  /// Grid row of one (gpcs, option, cap) combination; kNoKey when its GPC
+  /// count or cap is not in the grid.
   using DenseKey = std::int32_t;
   static constexpr DenseKey kNoKey = -1;
 
+  /// Write the coefficients of `key`, growing the grid when its GPC count or
+  /// cap is new. Throws ContractViolation on a non-finite coefficient, a key
+  /// out of range, or a grid that would grow past 2^16 rows.
   void set_scalability(const ModelKey& key, const CVector& c);
   void set_interference(const ModelKey& key, const DVector& d);
-
-  /// RAII guard batching many set_* calls into one dense re-intern. Inside
-  /// the scope, mutations update the maps and bump revision() immediately but
-  /// defer the flat-table rebuild until the guard closes, so bulk builders
-  /// (trainer, load) pay O(keys) instead of O(keys²). Dense lookups and
-  /// predictions are stale within the scope — finish the batch first.
-  /// Nestable; the outermost close reindexes.
-  class BatchUpdate {
-   public:
-    explicit BatchUpdate(PerfModel& model) : model_(&model) {
-      ++model_->batch_depth_;
-    }
-    ~BatchUpdate() {
-      if (--model_->batch_depth_ == 0) model_->reindex();
-    }
-    BatchUpdate(const BatchUpdate&) = delete;
-    BatchUpdate& operator=(const BatchUpdate&) = delete;
-
-   private:
-    PerfModel* model_;
-  };
 
   bool has_scalability(const ModelKey& key) const noexcept;
   bool has_interference(const ModelKey& key) const noexcept;
 
+  /// Throw ContractViolation naming `key` when its coefficients are missing.
   const CVector& scalability(const ModelKey& key) const;
   const DVector& interference(const ModelKey& key) const;
 
@@ -119,9 +105,9 @@ class PerfModel {
 
   // --- Dense hot-path interface -------------------------------------------
   //
-  // dense_key interns (gpcs, option, integer cap) via two direct-address slot
-  // arrays; the returned index addresses the flat coefficient rows below.
-  // Rows are only meaningful when the matching dense_has_* check passes.
+  // dense_key maps (gpcs, option, integer cap) to its grid row via two
+  // direct-address slot arrays. Rows are only meaningful when the matching
+  // dense_has_* check passes.
 
   DenseKey dense_key(int gpcs, gpusim::MemOption option, int cap_watts) const noexcept {
     const auto g = static_cast<std::size_t>(gpcs);
@@ -131,16 +117,18 @@ class PerfModel {
     const int cap_slot = cap_slot_[w];
     if ((gpc_slot | cap_slot) < 0) return kNoKey;
     const std::size_t option_slot = option == gpusim::MemOption::Shared ? 1 : 0;
-    return static_cast<DenseKey>(
-        (static_cast<std::size_t>(gpc_slot) * 2 + option_slot) * cap_count_ +
-        static_cast<std::size_t>(cap_slot));
+    const std::size_t row =
+        (static_cast<std::size_t>(gpc_slot) * 2 + option_slot) *
+            cap_values_.size() +
+        static_cast<std::size_t>(cap_slot);
+    return static_cast<DenseKey>(row);
   }
   DenseKey dense_key(const ModelKey& key) const noexcept {
     return dense_key(key.gpcs, key.option, key.power_cap_watts);
   }
 
-  // The size() bound makes keys interned against an older revision (or
-  // during an open BatchUpdate) fail closed instead of reading out of range.
+  // The size() bound makes keys interned against an older, smaller grid fail
+  // closed instead of reading out of range.
   bool dense_has_scalability(DenseKey key) const noexcept {
     return key >= 0 && static_cast<std::size_t>(key) < has_c_.size() &&
            has_c_[static_cast<std::size_t>(key)] != 0;
@@ -150,45 +138,48 @@ class PerfModel {
            has_d_[static_cast<std::size_t>(key)] != 0;
   }
 
-  /// Flat coefficient rows (kHBasisCount / kJBasisCount doubles). Only valid
-  /// for keys passing the matching dense_has_* check.
+  /// Coefficient rows (kHBasisCount / kJBasisCount doubles). Only valid for
+  /// keys passing the matching dense_has_* check.
   const double* scalability_row(DenseKey key) const noexcept {
-    return c_flat_.data() + static_cast<std::size_t>(key) * kHBasisCount;
+    return c_rows_[static_cast<std::size_t>(key)].data();
   }
   const double* interference_row(DenseKey key) const noexcept {
-    return d_flat_.data() + static_cast<std::size_t>(key) * kJBasisCount;
+    return d_rows_[static_cast<std::size_t>(key)].data();
   }
 
   /// Bumped on every mutation (set_*). Consumers that pre-intern dense keys
   /// (the Optimizer's candidate grid) check this to detect staleness.
   std::uint64_t revision() const noexcept { return revision_; }
 
-  std::size_t scalability_entries() const noexcept { return c_.size(); }
-  std::size_t interference_entries() const noexcept { return d_.size(); }
+  std::size_t scalability_entries() const noexcept;
+  std::size_t interference_entries() const noexcept;
+  /// Keys with C coefficients, in ModelKey order.
   std::vector<ModelKey> scalability_keys() const;
 
-  /// CSV round-trip of both coefficient tables.
+  /// CSV round-trip of both coefficient kinds, rows in ModelKey order. load
+  /// rejects duplicate (kind, key) rows and everything set_* rejects.
   void save(const std::string& path) const;
   static PerfModel load(const std::string& path);
 
  private:
-  /// Re-intern the key space and rebuild the flat arrays from the maps.
-  void reindex();
+  /// Row of `key`, growing the grid first when its GPC count or cap is new.
+  std::size_t row_of(const ModelKey& key);
+  /// Add every GPC count and cap of `keys` not yet in the grid in one
+  /// regrow, moving existing rows to their new indices.
+  void grow(std::span<const ModelKey> keys);
+  ModelKey key_of(std::size_t row) const noexcept;
 
-  std::map<ModelKey, CVector> c_;
-  std::map<ModelKey, DVector> d_;
-
-  // Dense mirror: slot arrays are direct-addressed by gpcs / integer watts;
-  // rows live at ((gpc_slot * 2 + option) * cap_count_ + cap_slot).
+  // Sorted distinct GPC counts / integer-watt caps, and their slot arrays,
+  // direct-addressed by value (-1 where the value is absent).
+  std::vector<int> gpc_values_;
+  std::vector<int> cap_values_;
   std::vector<std::int16_t> gpc_slot_;
   std::vector<std::int16_t> cap_slot_;
-  std::size_t cap_count_ = 0;
-  std::vector<double> c_flat_;
-  std::vector<double> d_flat_;
+  std::vector<CVector> c_rows_;
+  std::vector<DVector> d_rows_;
   std::vector<std::uint8_t> has_c_;
   std::vector<std::uint8_t> has_d_;
   std::uint64_t revision_ = 0;
-  int batch_depth_ = 0;
 };
 
 }  // namespace migopt::core

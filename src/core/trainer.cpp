@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/linalg.hpp"
@@ -118,14 +119,9 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
   });
 
   double solo_sq_sum = 0.0;
-  {
-    // One dense re-intern for the whole grid; the co-run residual step below
-    // reads predict_solo, so the batch must close before it.
-    const PerfModel::BatchUpdate batch(artifacts.model);
-    for (std::size_t i = 0; i < solo_tasks.size(); ++i) {
-      artifacts.model.set_scalability(solo_tasks[i].key, c_results[i]);
-      solo_sq_sum += solo_sq_residual[i];
-    }
+  for (std::size_t i = 0; i < solo_tasks.size(); ++i) {
+    artifacts.model.set_scalability(solo_tasks[i].key, c_results[i]);
+    solo_sq_sum += solo_sq_residual[i];
   }
   artifacts.report.solo_runs = solo_tasks.size() * registry.size();
   artifacts.report.solo_fit_rmse = std::sqrt(
@@ -136,7 +132,6 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
     std::array<double, kJBasisCount> j;
     double residual;
   };
-  std::map<ModelKey, std::vector<CorunSample>> samples_by_key;
 
   struct CorunTask {
     const wl::CorunPair* pair;
@@ -149,10 +144,10 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
       for (const double cap : config.power_caps)
         corun_tasks.push_back({&pair, state, cap});
 
-  // Each task writes its two samples into its own slot; they are folded into
-  // samples_by_key in task-index order below, so every ridge design matrix
-  // has the same row order (and the same coefficients, to the last bit)
-  // however the pool schedules the tasks.
+  // Each task writes its two samples into its own slot; they are grouped by
+  // key in task-index order below, so every ridge design matrix has the same
+  // row order (and the same coefficients, to the last bit) however the pool
+  // schedules the tasks.
   struct CorunResult {
     ModelKey key1;
     ModelKey key2;
@@ -185,42 +180,47 @@ TrainedArtifacts train_offline(const gpusim::GpuChip& chip,
         CorunSample{basis_j(prof2), rel1 - artifacts.model.predict_solo(key1, prof1)},
         CorunSample{basis_j(prof1), rel2 - artifacts.model.predict_solo(key2, prof2)}};
   });
+  // Group the samples by key: a stable sort keeps task-index order within
+  // each key.
+  std::vector<std::pair<ModelKey, CorunSample>> samples;
+  samples.reserve(2 * corun_results.size());
   for (const CorunResult& result : corun_results) {
-    samples_by_key[result.key1].push_back(result.sample1);
-    samples_by_key[result.key2].push_back(result.sample2);
+    samples.emplace_back(result.key1, result.sample1);
+    samples.emplace_back(result.key2, result.sample2);
   }
+  std::stable_sort(samples.begin(), samples.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
   artifacts.report.corun_runs = corun_tasks.size();
 
   double corun_sq_sum = 0.0;
-  std::size_t corun_sample_count = 0;
-  {
-    // Scoped like the solo batch: the guard must reindex before `artifacts`
-    // is returned (NRVO is not guaranteed; a move would strand the guard on
-    // the moved-from model).
-    const PerfModel::BatchUpdate interference_batch(artifacts.model);
-    for (const auto& [key, samples] : samples_by_key) {
-      MIGOPT_ENSURE(samples.size() >= kJBasisCount,
-                    "too few co-run samples for " + key.to_string());
-      Matrix design(samples.size(), kJBasisCount);
-      std::vector<double> rhs(samples.size(), 0.0);
-      for (std::size_t s = 0; s < samples.size(); ++s) {
-        for (std::size_t col = 0; col < kJBasisCount; ++col)
-          design(s, col) = samples[s].j[col];
-        rhs[s] = samples[s].residual;
-      }
-      const auto fit = linalg::ridge(design, rhs, config.ridge_lambda,
-                                     /*penalize_last_column=*/false);
-      PerfModel::DVector d{};
+  for (std::size_t first = 0; first < samples.size();) {
+    const ModelKey& key = samples[first].first;
+    std::size_t last = first;
+    while (last < samples.size() && samples[last].first == key) ++last;
+    const std::size_t count = last - first;
+    MIGOPT_ENSURE(count >= kJBasisCount,
+                  "too few co-run samples for " + key.to_string());
+    Matrix design(count, kJBasisCount);
+    std::vector<double> rhs(count, 0.0);
+    for (std::size_t s = 0; s < count; ++s) {
       for (std::size_t col = 0; col < kJBasisCount; ++col)
-        d[col] = fit.coefficients[col];
-      artifacts.model.set_interference(key, d);
-      corun_sq_sum += fit.residual_norm * fit.residual_norm;
-      corun_sample_count += samples.size();
+        design(s, col) = samples[first + s].second.j[col];
+      rhs[s] = samples[first + s].second.residual;
     }
+    const auto fit = linalg::ridge(design, rhs, config.ridge_lambda,
+                                   /*penalize_last_column=*/false);
+    PerfModel::DVector d{};
+    for (std::size_t col = 0; col < kJBasisCount; ++col)
+      d[col] = fit.coefficients[col];
+    artifacts.model.set_interference(key, d);
+    corun_sq_sum += fit.residual_norm * fit.residual_norm;
+    first = last;
   }
-  if (corun_sample_count > 0)
+  if (!samples.empty())
     artifacts.report.corun_fit_rmse =
-        std::sqrt(corun_sq_sum / static_cast<double>(corun_sample_count));
+        std::sqrt(corun_sq_sum / static_cast<double>(samples.size()));
 
   return artifacts;
 }

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "core/optimizer.hpp"
 #include "test_util.hpp"
 
 namespace migopt::core {
@@ -24,6 +31,33 @@ CounterSet sample_profile() {
   f[Counter::L2HitRatePct] = 85.0;
   f[Counter::OccupancyPct] = 50.0;
   return f;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string saved_bytes(const PerfModel& model, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  model.save(path);
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Expect `fn` to throw a ContractViolation whose message contains `needle`.
+template <typename Fn>
+void expect_violation(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a ContractViolation naming \"" << needle << "\"";
+  } catch (const ContractViolation& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ModelKey, MakeAndToString) {
@@ -165,8 +199,8 @@ TEST(PerfModelDense, MutationBumpsRevisionAndReindexes) {
   const std::uint64_t after_first = model.revision();
   const PerfModel::DenseKey dense1 = model.dense_key(key1);
 
-  // A new key re-interns the space; the old key keeps resolving correctly
-  // even if its dense index moved.
+  // A new key grows the grid; the old key keeps resolving correctly even
+  // though its row moved.
   const ModelKey key2 = ModelKey::make(2, MemOption::Private, 170.0);
   model.set_scalability(key2, {0, 0, 0, 0, 0, 2.0});
   EXPECT_GT(model.revision(), after_first);
@@ -177,44 +211,86 @@ TEST(PerfModelDense, MutationBumpsRevisionAndReindexes) {
   (void)dense1;
 }
 
-TEST(PerfModelDense, DenseRowsMatchMapTablesOnEveryTrainedKey) {
-  // The flat hot-path arrays must agree with the authoritative maps for the
-  // full production-trained key space, and predictions through the dense
-  // path must equal the explicit dot products bit for bit.
-  const auto& artifacts = test::shared_artifacts();
-  const PerfModel& model = artifacts.model;
-  const CounterSet self = artifacts.profiles.at("igemm4");
-  const CounterSet other = artifacts.profiles.at("stream");
-  const auto h = basis_h(self);
-  const std::vector<CounterSet> others = {other};
-  const auto j = basis_j(other);
+TEST(PerfModelDense, ShuffledInsertionGrowsTheGridInPlace) {
+  // Every trained key plus a GPC count (5, between 4 and 7) and a cap
+  // (200 W, between 190 and 210) the grid has not seen, inserted in shuffled
+  // order: each growth must keep every earlier row, and the final grid must
+  // save exactly what sorted insertion saves.
+  const PerfModel& trained = test::shared_artifacts().model;
+  const ModelKey between_gpcs = ModelKey::make(5, MemOption::Shared, 190.0);
+  const ModelKey between_cap = ModelKey::make(4, MemOption::Private, 200.0);
+  ASSERT_EQ(trained.dense_key(between_gpcs), PerfModel::kNoKey);
+  ASSERT_EQ(trained.dense_key(between_cap), PerfModel::kNoKey);
+  const PerfModel::CVector extra_c = {0.5, -0.25, 1.0 / 3.0, 0, 0, 0.75};
+  const PerfModel::DVector extra_d = {-1.0 / 7.0, 0.125, -0.5};
 
-  ASSERT_GT(model.scalability_entries(), 0u);
-  for (const ModelKey& key : model.scalability_keys()) {
-    const PerfModel::DenseKey dense = model.dense_key(key);
-    ASSERT_GE(dense, 0) << key.to_string();
-    ASSERT_TRUE(model.dense_has_scalability(dense)) << key.to_string();
-
-    const auto& c = model.scalability(key);
-    const double* row = model.scalability_row(dense);
-    for (std::size_t i = 0; i < kHBasisCount; ++i)
-      EXPECT_EQ(row[i], c[i]) << key.to_string();
-
-    double expected = 0.0;
-    for (std::size_t i = 0; i < kHBasisCount; ++i) expected += c[i] * h[i];
-    EXPECT_EQ(model.predict_solo(key, self), expected) << key.to_string();
-
-    if (model.has_interference(key)) {
-      ASSERT_TRUE(model.dense_has_interference(dense)) << key.to_string();
-      const auto& d = model.interference(key);
-      const double* drow = model.interference_row(dense);
-      for (std::size_t i = 0; i < kJBasisCount; ++i)
-        EXPECT_EQ(drow[i], d[i]) << key.to_string();
-      double with_other = expected;
-      for (std::size_t i = 0; i < kJBasisCount; ++i) with_other += d[i] * j[i];
-      EXPECT_EQ(model.predict(key, self, others), with_other) << key.to_string();
+  std::vector<ModelKey> keys = trained.scalability_keys();
+  ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  keys.push_back(between_gpcs);
+  keys.push_back(between_cap);
+  const auto insert = [&](PerfModel& model, const ModelKey& key) {
+    const bool extra = !trained.has_scalability(key);
+    model.set_scalability(key, extra ? extra_c : trained.scalability(key));
+    if (extra || trained.has_interference(key))
+      model.set_interference(key, extra ? extra_d : trained.interference(key));
+  };
+  const auto expect_row = [&](const PerfModel& model, const ModelKey& key) {
+    const bool extra = !trained.has_scalability(key);
+    ASSERT_TRUE(model.has_scalability(key)) << key.to_string();
+    EXPECT_EQ(model.scalability(key),
+              extra ? extra_c : trained.scalability(key))
+        << key.to_string();
+    if (extra || trained.has_interference(key)) {
+      ASSERT_TRUE(model.has_interference(key)) << key.to_string();
+      EXPECT_EQ(model.interference(key),
+                extra ? extra_d : trained.interference(key))
+          << key.to_string();
+    } else {
+      EXPECT_FALSE(model.has_interference(key)) << key.to_string();
     }
+  };
+
+  std::vector<ModelKey> shuffled = keys;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  PerfModel model;
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    insert(model, shuffled[i]);
+    for (std::size_t k = 0; k <= i; ++k) expect_row(model, shuffled[k]);
   }
+
+  std::sort(keys.begin(), keys.end());
+  PerfModel sorted_model;
+  for (const ModelKey& key : keys) insert(sorted_model, key);
+  EXPECT_EQ(model.scalability_keys(), keys);
+  EXPECT_EQ(saved_bytes(model, "migopt_model_shuffled.csv"),
+            saved_bytes(sorted_model, "migopt_model_sorted.csv"));
+
+  // Growing a model under a live Optimizer moves its rows; the Optimizer's
+  // pre-interned keys must fail closed, not read the moved rows.
+  PerfModel grown = trained;
+  const Optimizer optimizer(grown, paper_states(), paper_power_caps());
+  const CounterSet other = test::shared_artifacts().profiles.at("stream");
+  EXPECT_NO_THROW(
+      optimizer.decide(sample_profile(), other, Policy::problem2(0.2)));
+  insert(grown, between_gpcs);
+  insert(grown, between_cap);
+  for (const ModelKey& key : keys) expect_row(grown, key);
+  expect_violation(
+      [&] { optimizer.decide(sample_profile(), other, Policy::problem2(0.2)); },
+      "PerfModel was mutated");
+}
+
+TEST(PerfModel, SetRejectsNonFiniteCoefficients) {
+  PerfModel model;
+  const ModelKey key = ModelKey::make(4, MemOption::Shared, 230.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_violation([&] { model.set_scalability(key, {0, 0, nan, 0, 0, 1}); },
+                   "non-finite scalability coefficient for 4g/shared/230W");
+  expect_violation([&] { model.set_interference(key, {-inf, 0, 0}); },
+                   "non-finite interference coefficient for 4g/shared/230W");
+  EXPECT_FALSE(model.has_scalability(key));
+  EXPECT_FALSE(model.has_interference(key));
 }
 
 TEST(PerfModelDense, SaveLoadPreservesDenseLookups) {
@@ -237,52 +313,70 @@ TEST(PerfModel, SaveLoadRoundTrip) {
   PerfModel model;
   const ModelKey key1 = ModelKey::make(4, MemOption::Shared, 250.0);
   const ModelKey key2 = ModelKey::make(3, MemOption::Private, 170.0);
-  model.set_scalability(key1, {0.1, -0.2, 0.3, -0.4, 0.5, 0.6});
+  model.set_scalability(key1, {0.1, -0.2, 1.0 / 3.0, -0.4, 5e-324, 0.6});
   model.set_scalability(key2, {1, 2, 3, 4, 5, 6});
-  model.set_interference(key2, {-0.01, 0.02, -0.03});
+  model.set_interference(key2, {-0.01, 2.0 / 7.0, -1e300});
 
+  // format_exact round-trips every double, so the coefficients come back bit
+  // for bit and a second save writes the same bytes.
   const std::string path = ::testing::TempDir() + "/migopt_model_test.csv";
   model.save(path);
+  const std::string first = read_file(path);
   const PerfModel loaded = PerfModel::load(path);
+  std::remove(path.c_str());
 
   EXPECT_EQ(loaded.scalability_entries(), 2u);
   EXPECT_EQ(loaded.interference_entries(), 1u);
-  for (std::size_t i = 0; i < kHBasisCount; ++i)
-    EXPECT_NEAR(loaded.scalability(key1)[i], model.scalability(key1)[i], 1e-9);
-  for (std::size_t i = 0; i < kJBasisCount; ++i)
-    EXPECT_NEAR(loaded.interference(key2)[i], model.interference(key2)[i], 1e-9);
-  std::remove(path.c_str());
+  EXPECT_EQ(loaded.scalability(key1), model.scalability(key1));
+  EXPECT_EQ(loaded.scalability(key2), model.scalability(key2));
+  EXPECT_EQ(loaded.interference(key2), model.interference(key2));
+  EXPECT_FALSE(loaded.has_interference(key1));
+  EXPECT_EQ(saved_bytes(loaded, "migopt_model_resaved.csv"), first);
 }
 
 TEST(PerfModel, LoadRejectsCorruptedFiles) {
   const std::string path = ::testing::TempDir() + "/migopt_model_corrupt.csv";
-  const auto write_file = [&path](const char* contents) {
+  const auto write_file = [&path](const std::string& contents) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs(contents, f);
+    std::fputs(contents.c_str(), f);
     std::fclose(f);
   };
-
-  // Unknown coefficient kind.
-  write_file(
+  const std::string header =
       "kind,gpcs,option,power_cap_watts,coeff0,coeff1,coeff2,coeff3,coeff4,"
-      "coeff5\n"
-      "banana,4,shared,250,1,2,3,4,5,6\n");
+      "coeff5\n";
+  const auto load = [&path] { PerfModel::load(path); };
+
+  write_file(header + "banana,4,shared,250,1,2,3,4,5,6\n");
+  expect_violation(load, "bad coefficient kind in model file: banana");
+
+  write_file(header + "C,4,exclusive,250,1,2,3,4,5,6\n");
+  expect_violation(load, "bad option in model file: exclusive");
+
+  write_file(header + "C,4,shared,250,one,2,3,4,5,6\n");
   EXPECT_THROW(PerfModel::load(path), ContractViolation);
 
-  // Unknown memory option.
-  write_file(
-      "kind,gpcs,option,power_cap_watts,coeff0,coeff1,coeff2,coeff3,coeff4,"
-      "coeff5\n"
-      "scalability,4,exclusive,250,1,2,3,4,5,6\n");
-  EXPECT_THROW(PerfModel::load(path), ContractViolation);
+  // from_chars parses nan and inf; the model must not accept them.
+  write_file(header + "C,4,shared,250,nan,2,3,4,5,6\n");
+  expect_violation(load, "non-finite scalability coefficient for 4g/shared/250W");
+  write_file(header + "C,4,shared,250,1,2,3,4,5,6\n" +
+             "D,4,shared,250,1,-inf,3,,,\n");
+  expect_violation(load,
+                   "non-finite interference coefficient for 4g/shared/250W");
 
-  // Non-numeric coefficient.
-  write_file(
-      "kind,gpcs,option,power_cap_watts,coeff0,coeff1,coeff2,coeff3,coeff4,"
-      "coeff5\n"
-      "scalability,4,shared,250,one,2,3,4,5,6\n");
-  EXPECT_THROW(PerfModel::load(path), ContractViolation);
+  // A repeated (kind, key) row is an error, not "last row wins".
+  write_file(header + "C,4,shared,250,1,2,3,4,5,6\n" +
+             "D,4,shared,250,1,2,3,,,\n" + "C,4,shared,250,6,5,4,3,2,1\n");
+  expect_violation(load, "duplicate C row for 4g/shared/250W in model file");
+
+  // 129 GPC counts x 2 options x 256 caps needs 66,048 rows, past the 2^16
+  // bound: rejected before any grid is allocated.
+  std::string oversize = header;
+  for (int r = 0; r < 256; ++r)
+    oversize += "C," + std::to_string(1 + r % 129) + ",shared," +
+                std::to_string(1 + r) + ",1,2,3,4,5,6\n";
+  write_file(oversize);
+  expect_violation(load, "coefficient grid too large");
 
   std::remove(path.c_str());
   EXPECT_THROW(PerfModel::load("/no/such/model.csv"), ContractViolation);
