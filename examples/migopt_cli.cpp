@@ -6,7 +6,8 @@
 // to disk and serves decisions from them, the way a site would deploy it:
 //
 //   migopt_cli train   --out DIR
-//       run the offline phase; write DIR/model.csv + DIR/profiles.csv
+//       run the offline phase; create DIR if needed and write
+//       DIR/model.csv + DIR/profiles.csv
 //   migopt_cli decide  --artifacts DIR --app1 A --app2 B
 //                      [--problem 1|2] [--cap WATTS] [--alpha A] [--json PATH]
 //       load artifacts, print the chosen state/cap + predicted metrics
@@ -19,6 +20,7 @@
 // BENCH document schema the bench binaries produce.
 // Exit code 0 on success, 1 on bad usage or missing data.
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -90,6 +92,7 @@ int emit(const std::map<std::string, std::string>& flags,
 int cmd_train(const std::map<std::string, std::string>& flags) {
   const auto out = flags.find("out");
   if (out == flags.end()) return usage();
+  std::filesystem::create_directories(out->second);
 
   gpusim::GpuChip chip;
   const wl::WorkloadRegistry registry(chip.arch());

@@ -31,19 +31,6 @@ void Node::dispatch_pair(Job job1, Job job2, const core::PartitionState& state,
   recompute_rates();
 }
 
-void Node::dispatch_group(std::vector<Job> jobs, const core::GroupState& state,
-                          double power_cap_watts) {
-  MIGOPT_REQUIRE(idle(), "dispatch_group on busy node");
-  MIGOPT_REQUIRE(jobs.size() >= 2, "group dispatch needs at least two jobs");
-  MIGOPT_REQUIRE(jobs.size() == state.size(),
-                 "job count does not match the group state");
-  option_ = state.option;
-  cap_watts_ = power_cap_watts;
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    place(std::move(jobs[i]), state.gpcs_of(i));
-  recompute_rates();
-}
-
 void Node::dispatch_exclusive(Job job, double power_cap_watts) {
   MIGOPT_REQUIRE(idle(), "dispatch_exclusive on busy node");
   option_.reset();
@@ -64,8 +51,8 @@ void Node::recompute_rates() {
     run_power_watts_ = chip_.arch().idle_power_watts;
     return;
   }
-  if (slots_.size() >= 2) {
-    MIGOPT_ENSURE(option_.has_value(), "group without an LLC/HBM option");
+  if (slots_.size() == 2) {
+    MIGOPT_ENSURE(option_.has_value(), "pair without an LLC/HBM option");
     const auto solve = [&] {
       std::vector<gpusim::GpuChip::GroupMember> members(slots_.size());
       for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -79,9 +66,9 @@ void Node::recompute_rates() {
         slots_[i].seconds_per_wu = run.apps[i].seconds_per_wu;
       run_power_watts_ = run.power_watts;
     };
-    if (run_memo_ != nullptr && slots_.size() == 2) {
-      // Pairs dominate replay; the memoized solve is bit-identical to a
-      // fresh one (same inputs, same fixed point).
+    if (run_memo_ != nullptr) {
+      // The memoized solve is bit-identical to a fresh one (same inputs,
+      // same fixed point).
       apply(run_memo_->get_or_solve(
           RunMemo::Key{slots_[0].job.kernel, slots_[1].job.kernel,
                        slots_[0].gpcs, slots_[1].gpcs,

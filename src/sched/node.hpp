@@ -1,5 +1,5 @@
-// A compute node: one simulated GPU executing a group of co-located jobs
-// (the common case is a pair, as in the paper's evaluation).
+// A compute node: one simulated GPU executing one job or a co-located pair
+// (as in the paper's evaluation).
 //
 // The node is driven by the cluster event loop: jobs are dispatched with a
 // partitioning state and power cap (as decided by the Resource & Power
@@ -51,10 +51,6 @@ class Node {
   /// Dispatch a pair under a partition state + cap. Node must be idle.
   void dispatch_pair(Job job1, Job job2, const core::PartitionState& state,
                      double power_cap_watts);
-
-  /// Dispatch N jobs under an N-way group state + cap. Node must be idle.
-  void dispatch_group(std::vector<Job> jobs, const core::GroupState& state,
-                      double power_cap_watts);
 
   /// Dispatch one job exclusively (full chip) under a cap. Node must be idle.
   void dispatch_exclusive(Job job, double power_cap_watts);

@@ -233,7 +233,7 @@ double fault_horizon(const Trace& trace) noexcept {
 }
 
 /// One fleet event as the router reads it: 24 bytes instead of the
-/// 112-byte TraceEvent, so the serial routing loop streams a quarter of
+/// 96-byte TraceEvent, so the serial routing loop streams a quarter of
 /// the memory and never touches a tenant string.
 struct CompactEvent {
   double time_seconds = 0.0;

@@ -71,6 +71,9 @@ Trace make_arrival_trace(const ArrivalConfig& config,
   const std::vector<double> app_cdf = zipf_cdf(ranked_apps.size(), config.zipf_s);
   const std::vector<double> tenant_cdf =
       zipf_cdf(static_cast<std::size_t>(config.tenant_count), 1.0);
+  std::vector<std::string> tenants(tenant_cdf.size());
+  for (std::size_t i = 0; i < tenants.size(); ++i)
+    tenants[i].append("t").append(std::to_string(i));
 
   // Thinning over the peak rate: candidates arrive at rate*(1+amplitude) and
   // survive with probability rate(t)/peak — exact for the sinusoidal profile.
@@ -101,9 +104,17 @@ Trace make_arrival_trace(const ArrivalConfig& config,
     const double deadline = config.deadline_factor > 0.0
                                 ? config.deadline_factor * work
                                 : 0.0;
-    trace.events.push_back(TraceEvent::arrival(
-        now, "t" + std::to_string(sample_cdf(tenant_cdf, rng)),
-        ranked_apps[sample_cdf(app_cdf, rng)], work, priority, deadline));
+    // The app is drawn before the tenant; every pinned trace depends on it.
+    const std::string& app = ranked_apps[sample_cdf(app_cdf, rng)];
+    const std::string& tenant = tenants[sample_cdf(tenant_cdf, rng)];
+    TraceEvent& event = trace.events.emplace_back();
+    event.time_seconds = now;
+    event.tenant = tenant;
+    event.app = app;
+    event.work_seconds = work;
+    event.deadline_seconds = deadline;
+    event.priority = priority;
+    event.validate();
   }
   return trace;
 }

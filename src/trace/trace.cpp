@@ -150,12 +150,15 @@ CsvDocument Trace::to_csv() const {
   CsvDocument document({"kind", "time_s", "tenant", "app", "work_s",
                         "priority", "deadline_s", "budget_w"});
   for (const TraceEvent& event : events) {
-    document.add_row({kind_name(event.kind),
-                      json::format_double(event.time_seconds), event.tenant,
-                      event.app, json::format_double(event.work_seconds),
-                      std::to_string(event.priority),
-                      json::format_double(event.deadline_seconds),
-                      json::format_double(event.budget_watts)});
+    // work_s and budget_w share one field; the other kind's column is 0.
+    const bool arrival = event.kind == EventKind::JobArrival;
+    document.add_row(
+        {kind_name(event.kind), json::format_double(event.time_seconds),
+         event.tenant, event.app,
+         json::format_double(arrival ? event.work_seconds : 0.0),
+         std::to_string(event.priority),
+         json::format_double(event.deadline_seconds),
+         json::format_double(arrival ? 0.0 : event.budget_watts)});
   }
   return document;
 }
@@ -168,18 +171,27 @@ Trace Trace::from_csv(const CsvDocument& document) {
   Trace trace;
   trace.events.reserve(document.row_count());
   for (std::size_t i = 0; i < document.row_count(); ++i) {
-    TraceEvent event;
+    TraceEvent& event = trace.events.emplace_back();
     event.kind = kind_of(document.cell(i, "kind"));
     event.time_seconds = parse_cell(document.cell(i, "time_s"), "time_s");
     event.tenant = document.cell(i, "tenant");
     event.app = document.cell(i, "app");
-    event.work_seconds = parse_cell(document.cell(i, "work_s"), "work_s");
+    const double work = parse_cell(document.cell(i, "work_s"), "work_s");
     event.priority = priority_of(
         parse_cell(document.cell(i, "priority"), "priority"), "trace CSV");
     event.deadline_seconds =
         parse_cell(document.cell(i, "deadline_s"), "deadline_s");
-    event.budget_watts = parse_cell(document.cell(i, "budget_w"), "budget_w");
-    trace.events.push_back(std::move(event));
+    const double watts = parse_cell(document.cell(i, "budget_w"), "budget_w");
+    // The kind's own column fills the shared field; the other must be 0.
+    if (event.kind == EventKind::JobArrival) {
+      MIGOPT_REQUIRE(watts == 0.0, "trace CSV row " + std::to_string(i) +
+                                       ": arrival with nonzero budget_w");
+      event.work_seconds = work;
+    } else {
+      MIGOPT_REQUIRE(work == 0.0, "trace CSV row " + std::to_string(i) +
+                                      ": budget event with nonzero work_s");
+      event.budget_watts = watts;
+    }
   }
   trace.validate();
   return trace;
@@ -232,7 +244,7 @@ Trace Trace::from_json(const json::Value& document) {
   for (const json::Value& entry : event_array->elements()) {
     MIGOPT_REQUIRE(entry.kind() == json::Value::Kind::Object,
                    "trace JSON events must be objects");
-    TraceEvent event;
+    TraceEvent& event = trace.events.emplace_back();
     event.kind = kind_of(string_of(entry, "kind"));
     event.time_seconds = number_of(entry, "t");
     if (event.kind == EventKind::JobArrival) {
@@ -244,7 +256,6 @@ Trace Trace::from_json(const json::Value& document) {
     } else {
       event.budget_watts = number_of(entry, "watts");
     }
-    trace.events.push_back(std::move(event));
   }
   trace.validate();
   return trace;

@@ -7,9 +7,16 @@
 // plain data — they can be generated synthetically (generator.hpp), saved
 // and loaded as CSV or JSON, and replayed deterministically through the
 // scheduler stack (sim_engine.hpp).
+//
+// A TraceEvent is 96 bytes: the time, the two strings, then the numbers,
+// with the one-byte kind packed beside the priority. An arrival's work_seconds and a
+// budget event's budget_watts share one slot, so read either only after
+// checking `kind`. The CSV form keeps both columns and writes 0 in the one
+// the kind does not use.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,21 +25,22 @@
 
 namespace migopt::trace {
 
-enum class EventKind { JobArrival, PowerBudget };
+enum class EventKind : std::uint8_t { JobArrival, PowerBudget };
 
 struct TraceEvent {
-  EventKind kind = EventKind::JobArrival;
   double time_seconds = 0.0;
 
   // JobArrival fields.
   std::string tenant;            ///< accounting key for per-tenant metrics
   std::string app;               ///< workload-registry name (profile key)
-  double work_seconds = 0.0;     ///< solo full-chip GPU seconds requested
-  int priority = 0;              ///< higher dispatches first (FIFO tie-break)
+  union {
+    double work_seconds = 0.0;   ///< JobArrival: solo full-chip GPU seconds
+    double budget_watts;         ///< PowerBudget: <= 0 lifts the budget
+  };
   double deadline_seconds = 0.0; ///< relative to arrival; 0 = none
+  int priority = 0;              ///< higher dispatches first (FIFO tie-break)
 
-  // PowerBudget fields.
-  double budget_watts = 0.0;     ///< <= 0 lifts the cluster budget
+  EventKind kind = EventKind::JobArrival;
 
   static TraceEvent arrival(double time_seconds, std::string tenant,
                             std::string app, double work_seconds,
@@ -48,6 +56,9 @@ struct TraceEvent {
   /// pre-pass) and must fail with the same message.
   void validate_after(double previous_time_seconds) const;
 };
+
+static_assert(sizeof(TraceEvent) == 96,
+              "TraceEvent packs to two strings and four 8-byte slots");
 
 struct Trace {
   /// Events in non-decreasing time_seconds order (validate() enforces it;

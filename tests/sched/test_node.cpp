@@ -127,72 +127,5 @@ TEST(Node, DispatchContracts) {
   EXPECT_THROW(node.advance_to(-1.0), ContractViolation);
 }
 
-TEST(Node, DispatchGroupRunsThreeJobsToCompletion) {
-  Node node(0);
-  std::vector<Job> jobs;
-  jobs.push_back(make_job(1, "igemm4", 50.0));
-  jobs.push_back(make_job(2, "stream", 200.0));
-  jobs.push_back(make_job(3, "needle", 300.0));
-  core::GroupState state;
-  state.gpcs = {3, 2, 2};
-  state.option = MemOption::Shared;
-  node.dispatch_group(std::move(jobs), state, 230.0);
-  EXPECT_FALSE(node.idle());
-
-  std::vector<Job> finished;
-  while (!node.idle()) {
-    const double next = node.next_completion_time();
-    for (Job& job : node.advance_to(next + 1e-12))
-      finished.push_back(std::move(job));
-  }
-  ASSERT_EQ(finished.size(), 3u);
-  for (const Job& job : finished) {
-    EXPECT_TRUE(job.finished());
-    EXPECT_GE(job.finish_time, job.start_time);
-  }
-  EXPECT_GT(node.energy_joules(), 0.0);
-}
-
-TEST(Node, DispatchGroupSurvivorsContinueOnTheirSlices) {
-  Node node(0);
-  std::vector<Job> jobs;
-  jobs.push_back(make_job(1, "stream", 5.0));     // short bandwidth hog
-  jobs.push_back(make_job(2, "leukocyte", 1e4));  // long co-runners
-  jobs.push_back(make_job(3, "needle", 1e4));
-  core::GroupState state;
-  state.gpcs = {3, 2, 2};
-  state.option = MemOption::Shared;
-  node.dispatch_group(std::move(jobs), state, 250.0);
-
-  const auto first = node.advance_to(node.next_completion_time() + 1e-12);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].id, 1);
-  EXPECT_FALSE(node.idle());
-  // Two survivors still running with finite completion times.
-  const double survivor_remaining = node.next_completion_time() - node.now();
-  EXPECT_GT(survivor_remaining, 0.0);
-  EXPECT_FALSE(std::isinf(survivor_remaining));
-}
-
-TEST(Node, DispatchGroupContracts) {
-  Node node(0);
-  core::GroupState state;
-  state.gpcs = {3, 2, 2};
-  state.option = MemOption::Shared;
-  std::vector<Job> two;
-  two.push_back(make_job(1, "sgemm", 1.0));
-  two.push_back(make_job(2, "stream", 1.0));
-  // Size mismatch between jobs and the state.
-  EXPECT_THROW(node.dispatch_group(std::move(two), state, 250.0),
-               ContractViolation);
-
-  std::vector<Job> single;
-  single.push_back(make_job(3, "sgemm", 1.0));
-  core::GroupState solo_state;
-  solo_state.gpcs = {4};
-  EXPECT_THROW(node.dispatch_group(std::move(single), solo_state, 250.0),
-               ContractViolation);
-}
-
 }  // namespace
 }  // namespace migopt::sched

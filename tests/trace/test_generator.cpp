@@ -4,6 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "common/assert.hpp"
@@ -39,6 +44,59 @@ TEST(Generator, FixedSeedReproducesTheTraceExactly) {
     any_difference = a.events[i].time_seconds != c.events[i].time_seconds ||
                      a.events[i].app != c.events[i].app;
   EXPECT_TRUE(any_difference);
+}
+
+/// Raw bits of a double, so pinned values compare exactly.
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// 64-bit FNV-1a over a file's bytes.
+std::uint64_t file_hash(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (char c; in.get(c);) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(Generator, SeededTraceMatchesPinnedEvents) {
+  // Each arrival draws its app, then its tenant. The values below were
+  // generated in that order; a compiler or rewrite that draws the tenant
+  // first changes every event here and every pinned replay baseline.
+  struct Pinned {
+    const char* app;
+    const char* tenant;
+    std::uint64_t time_bits;
+    std::uint64_t work_bits;
+  };
+  const Pinned pinned[] = {
+      {"lud", "t1", 0x3fd51eb9b53f24d6ULL, 0x403a70e7c7085479ULL},
+      {"pathfinder", "t0", 0x3fe0bc46993e5dcfULL, 0x402a6860b39ab407ULL},
+      {"gaussian", "t2", 0x3fe57420a42e6f56ULL, 0x40421dbac8f94f23ULL},
+      {"bf16gemm", "t4", 0x400996ee1373c5b8ULL, 0x4031f9a94e3232f2ULL},
+      {"sgemm", "t0", 0x400b8892c8278e89ULL, 0x4037d410628604f8ULL},
+      {"heartwell", "t3", 0x401337f85be1a42fULL, 0x401ebfe3731ada2eULL},
+      {"lud", "t5", 0x4017d4fd7cd16dfcULL, 0x403ac180b402e505ULL},
+      {"heartwell", "t0", 0x401ba55762624f34ULL, 0x40464714bb4ab253ULL},
+  };
+  ArrivalConfig config;
+  config.jobs = 8;
+  config.tenant_count = 6;
+  const Trace trace = make_arrival_trace(config, app_names(), 7);
+  ASSERT_EQ(trace.events.size(), std::size(pinned));
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    SCOPED_TRACE(i);
+    const TraceEvent& event = trace.events[i];
+    EXPECT_EQ(event.app, pinned[i].app);
+    EXPECT_EQ(event.tenant, pinned[i].tenant);
+    EXPECT_EQ(bits_of(event.time_seconds), pinned[i].time_bits);
+    EXPECT_EQ(bits_of(event.work_seconds), pinned[i].work_bits);
+  }
 }
 
 TEST(Generator, ArrivalTraceIsSortedSizedAndInBounds) {
@@ -108,6 +166,34 @@ TEST(Generator, BudgetWalkStaysInsideItsWalls) {
   const Trace again = make_budget_walk(config, 5);
   for (std::size_t i = 0; i < walk.events.size(); ++i)
     EXPECT_EQ(walk.events[i].budget_watts, again.events[i].budget_watts);
+}
+
+TEST(Presets, SavedRegimeTracesMatchPinnedBytes) {
+  // The saved CSV and JSON of each regime trace (2k jobs, 8 nodes, seed 7)
+  // are pinned by a hash of their bytes: the event layout may change, the
+  // files may not.
+  struct Pinned {
+    ReplayRegime regime;
+    std::uint64_t csv_hash;
+    std::uint64_t json_hash;
+  };
+  const Pinned pinned[] = {
+      {ReplayRegime::Poisson, 0x295ae638256d3cbeULL, 0x09b017d6f65d14b2ULL},
+      {ReplayRegime::Bursty, 0x535a94acd1e19e69ULL, 0x29624cd3a44f640dULL},
+      {ReplayRegime::BudgetWalk, 0x3afe8bfad0e23731ULL, 0x455c88bef078d5a7ULL},
+  };
+  const std::string csv_path = ::testing::TempDir() + "/pinned_regime.csv";
+  const std::string json_path = ::testing::TempDir() + "/pinned_regime.json";
+  for (const Pinned& entry : pinned) {
+    SCOPED_TRACE(regime_name(entry.regime));
+    const Trace trace = make_regime_trace(entry.regime, 2000, 8, 7, app_names());
+    trace.save_csv(csv_path);
+    trace.save_json(json_path);
+    EXPECT_EQ(file_hash(csv_path), entry.csv_hash);
+    EXPECT_EQ(file_hash(json_path), entry.json_hash);
+  }
+  std::remove(csv_path.c_str());
+  std::remove(json_path.c_str());
 }
 
 TEST(Presets, RegimeNamesRoundTripAndRecipesDiffer) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -33,10 +34,13 @@ void expect_equal(const Trace& a, const Trace& b) {
     EXPECT_EQ(x.time_seconds, y.time_seconds);
     EXPECT_EQ(x.tenant, y.tenant);
     EXPECT_EQ(x.app, y.app);
-    EXPECT_EQ(x.work_seconds, y.work_seconds);
     EXPECT_EQ(x.priority, y.priority);
     EXPECT_EQ(x.deadline_seconds, y.deadline_seconds);
-    EXPECT_EQ(x.budget_watts, y.budget_watts);
+    // The two share one field; compare the one the kind uses.
+    if (x.kind == EventKind::JobArrival)
+      EXPECT_EQ(x.work_seconds, y.work_seconds);
+    else
+      EXPECT_EQ(x.budget_watts, y.budget_watts);
   }
 }
 
@@ -112,6 +116,33 @@ TEST(Trace, CsvRejectsMissingColumnsAndBadCells) {
   bad_priority.add_row({"arrival", "0.0", "t", "sgemm", "5.0", "0.5", "0.0",
                         "0.0"});
   EXPECT_THROW(Trace::from_csv(bad_priority), ContractViolation);
+}
+
+TEST(Trace, CsvRejectsAValueInTheInactiveColumn) {
+  // work_s and budget_w share one field, so the column the kind does not use
+  // must read 0: a value there would otherwise be silently dropped.
+  const auto expect_rejection = [](const CsvDocument& csv, const char* what) {
+    try {
+      Trace::from_csv(csv);
+      ADD_FAILURE() << "accepted " << what;
+    } catch (const ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+          << error.what();
+    }
+  };
+  const std::vector<std::string> header = {
+      "kind", "time_s", "tenant", "app", "work_s", "priority", "deadline_s",
+      "budget_w"};
+  CsvDocument arrival(header);
+  arrival.add_row({"arrival", "0.0", "t0", "sgemm", "5.0", "0", "0.0", "0.0"});
+  arrival.add_row({"arrival", "1.0", "t0", "sgemm", "5.0", "0", "0.0", "900.0"});
+  expect_rejection(arrival, "trace CSV row 1: arrival with nonzero budget_w");
+  CsvDocument budget(header);
+  budget.add_row({"budget", "0.0", "", "", "0.0", "0", "0.0", "900.0"});
+  budget.add_row({"budget", "1.0", "", "", "5.0", "0", "0.0", "700.0"});
+  expect_rejection(budget, "trace CSV row 1: budget event with nonzero work_s");
+  // Zero in the inactive column, as the writer emits it, loads.
+  EXPECT_EQ(Trace::from_csv(sample_trace().to_csv()).events.size(), 5u);
 }
 
 TEST(Trace, LoadersRejectPrioritiesOutsideIntRange) {
