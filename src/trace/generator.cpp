@@ -71,6 +71,7 @@ Trace make_arrival_trace(const ArrivalConfig& config,
   const std::vector<double> app_cdf = zipf_cdf(ranked_apps.size(), config.zipf_s);
   const std::vector<double> tenant_cdf =
       zipf_cdf(static_cast<std::size_t>(config.tenant_count), 1.0);
+  // Built with append: GCC 12 at -O3 warns -Wrestrict on "t" + to_string.
   std::vector<std::string> tenants(tenant_cdf.size());
   for (std::size_t i = 0; i < tenants.size(); ++i)
     tenants[i].append("t").append(std::to_string(i));

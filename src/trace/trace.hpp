@@ -9,10 +9,10 @@
 // scheduler stack (sim_engine.hpp).
 //
 // A TraceEvent is 96 bytes: the time, the two strings, then the numbers,
-// with the one-byte kind packed beside the priority. An arrival's work_seconds and a
-// budget event's budget_watts share one slot, so read either only after
-// checking `kind`. The CSV form keeps both columns and writes 0 in the one
-// the kind does not use.
+// with the one-byte kind packed beside the priority. An arrival's
+// work_seconds and a budget event's budget_watts share one slot, so read
+// either only after checking `kind`. The CSV form keeps both columns and
+// writes 0 in the one the kind does not use.
 #pragma once
 
 #include <cstddef>

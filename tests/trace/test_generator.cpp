@@ -186,7 +186,8 @@ TEST(Presets, SavedRegimeTracesMatchPinnedBytes) {
   const std::string json_path = ::testing::TempDir() + "/pinned_regime.json";
   for (const Pinned& entry : pinned) {
     SCOPED_TRACE(regime_name(entry.regime));
-    const Trace trace = make_regime_trace(entry.regime, 2000, 8, 7, app_names());
+    const Trace trace =
+        make_regime_trace(entry.regime, 2000, 8, 7, app_names());
     trace.save_csv(csv_path);
     trace.save_json(json_path);
     EXPECT_EQ(file_hash(csv_path), entry.csv_hash);

@@ -135,7 +135,8 @@ TEST(Trace, CsvRejectsAValueInTheInactiveColumn) {
       "budget_w"};
   CsvDocument arrival(header);
   arrival.add_row({"arrival", "0.0", "t0", "sgemm", "5.0", "0", "0.0", "0.0"});
-  arrival.add_row({"arrival", "1.0", "t0", "sgemm", "5.0", "0", "0.0", "900.0"});
+  arrival.add_row(
+      {"arrival", "1.0", "t0", "sgemm", "5.0", "0", "0.0", "900.0"});
   expect_rejection(arrival, "trace CSV row 1: arrival with nonzero budget_w");
   CsvDocument budget(header);
   budget.add_row({"budget", "0.0", "", "", "0.0", "0", "0.0", "900.0"});
