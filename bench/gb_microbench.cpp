@@ -21,12 +21,14 @@
 #include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
+#include "core/hw_state.hpp"
 #include "core/optimizer.hpp"
 #include "core/trainer.hpp"
 #include "profiling/profiler.hpp"
 #include "report/bench_env.hpp"
 #include "report/harness.hpp"
 #include "sched/cluster.hpp"
+#include "sched/run_memo.hpp"
 #include "sched/coscheduler.hpp"
 #include "trace/fleet.hpp"
 #include "trace/presets.hpp"
@@ -57,6 +59,88 @@ void BM_SimulatorPairRunCapped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorPairRunCapped);
+
+// The two ways a sched::RunMemo front miss is served, over the shapes a
+// replay of four apps dispatches: exclusive full-chip runs, pairs in the
+// paper's four partition states, and the slice-solo survivors of those
+// pairs, each at four grid caps (272 keys, cycled in order). MissSolve pays
+// the steady-state solve (no store attached); MissStoreHit finds the shape
+// in a warm gpusim::SolveStore, as every session after a registry's first
+// does. Both clear the front each iteration so every probe misses it.
+struct MemoShape {
+  sched::RunMemo::Key key;
+  std::vector<gpusim::GpuChip::GroupMember> members;
+};
+
+std::vector<MemoShape> replay_memo_shapes() {
+  const auto& env = report::Environment::get();
+  std::vector<MemoShape> shapes;
+  const char* apps[] = {"igemm4", "stream", "srad", "needle"};
+  for (const double cap : {150.0, 190.0, 230.0, 250.0}) {
+    for (const char* a : apps) {
+      const gpusim::KernelDescriptor* k1 = &env.kernel(a);
+      shapes.push_back({{k1, nullptr, env.chip.arch().total_gpcs, 0, -1, cap},
+                        {{k1, env.chip.arch().total_gpcs}}});
+      for (const core::PartitionState& state : core::paper_states()) {
+        const int option = static_cast<int>(state.option);
+        shapes.push_back({{k1, nullptr, state.gpcs_app1, 0, option, cap},
+                          {{k1, state.gpcs_app1}}});
+        for (const char* b : apps) {
+          if (b == a) continue;
+          const gpusim::KernelDescriptor* k2 = &env.kernel(b);
+          shapes.push_back(
+              {{k1, k2, state.gpcs_app1, state.gpcs_app2, option, cap},
+               {{k1, state.gpcs_app1}, {k2, state.gpcs_app2}}});
+        }
+      }
+    }
+  }
+  return shapes;
+}
+
+/// The solve sched::Node runs for `shape`.
+gpusim::RunResult solve_memo_shape(const MemoShape& shape) {
+  const auto& chip = report::Environment::get().chip;
+  const sched::RunMemo::Key& key = shape.key;
+  if (key.kernel2 != nullptr)
+    return chip.run_group(shape.members,
+                          static_cast<gpusim::MemOption>(key.option),
+                          key.cap_watts);
+  if (key.option < 0) return chip.run_full_chip(*key.kernel1, key.cap_watts);
+  return chip.run_solo(*key.kernel1, key.gpcs1,
+                       static_cast<gpusim::MemOption>(key.option),
+                       key.cap_watts);
+}
+
+void run_memo_miss_benchmark(benchmark::State& state,
+                             gpusim::SolveStore* store) {
+  const std::vector<MemoShape> shapes = replay_memo_shapes();
+  if (store != nullptr)
+    for (const MemoShape& shape : shapes)
+      store->get_or_solve(shape.key, [&] { return solve_memo_shape(shape); });
+  sched::RunMemo memo;
+  memo.attach(store);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    memo.clear();
+    const MemoShape& shape = shapes[i];
+    benchmark::DoNotOptimize(
+        memo.get_or_solve(shape.key, [&] { return solve_memo_shape(shape); })
+            .power_watts);
+    i = (i + 1) % shapes.size();
+  }
+}
+
+void BM_RunMemoMissSolve(benchmark::State& state) {
+  run_memo_miss_benchmark(state, nullptr);
+}
+BENCHMARK(BM_RunMemoMissSolve);
+
+void BM_RunMemoMissStoreHit(benchmark::State& state) {
+  gpusim::SolveStore store(report::Environment::get().chip.arch());
+  run_memo_miss_benchmark(state, &store);
+}
+BENCHMARK(BM_RunMemoMissStoreHit);
 
 void BM_ProfileRun(benchmark::State& state) {
   const auto& env = report::Environment::get();

@@ -262,6 +262,24 @@ void write_obs_outputs(const ReplayConfig& config,
   }
 }
 
+/// A router can leave whole clusters without work (tenant affinity with
+/// fewer hot tenants than clusters and no spillover): the fleet then runs on
+/// part of its nodes and nothing in the report says so. Name them on stderr.
+void warn_empty_clusters(const std::vector<std::size_t>& jobs_per_cluster) {
+  std::string empty;
+  std::size_t count = 0;
+  for (std::size_t c = 0; c < jobs_per_cluster.size(); ++c) {
+    if (jobs_per_cluster[c] != 0) continue;
+    empty.append(count++ == 0 ? "c" : ", c").append(std::to_string(c));
+  }
+  if (count == 0) return;
+  std::fprintf(stderr,
+               "warning: the router sent no jobs to %zu of %zu clusters (%s); "
+               "they idle for the whole replay. Set --spill-delay S to let "
+               "affinity spill over, or use --router least-loaded.\n",
+               count, jobs_per_cluster.size(), empty.c_str());
+}
+
 /// Fleet mode: the same regime trace, sized for the whole fleet, routed by
 /// trace::FleetEngine across `clusters` independent sessions and replayed
 /// shard-parallel over the harness's --threads workers.
@@ -298,6 +316,7 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
 
   const trace::FleetReport report =
       trace::FleetEngine(fleet).replay(fleet_trace);
+  warn_empty_clusters(report.router.jobs_per_cluster);
   if (!config.metrics_path.empty() || !config.chrome_trace_path.empty()) {
     std::vector<obs::SampleSeries> series;
     for (const trace::SimReport& shard : report.clusters)
@@ -375,10 +394,11 @@ report::ScenarioResult run_fleet_replay(const ReplayConfig& config,
   if (fault_injection_on(config)) add_fault_summaries(section, report.faults);
   result.add_section(std::move(section));
   result.add_note(
-      "each cluster is a fully private SimEngine session (own chip, "
-      "registry, allocator,\nscheduler); the router pre-assigned every "
-      "arrival before replay, so the merged\nreport is bit-identical for any "
-      "--threads value.");
+      "each cluster is its own SimEngine session (own nodes, allocator "
+      "copy, scheduler,\nrun memo); all clusters share one workload "
+      "registry and its solve store, whose\nentries equal fresh solves to "
+      "the bit. The router pre-assigned every arrival\nbefore replay, so "
+      "the merged report is bit-identical for any --threads value.");
   return result;
 }
 

@@ -122,6 +122,10 @@ struct ArchConfig {
 
   /// Sanity-check invariants (positive rates, topology consistency).
   void validate() const;
+
+  /// Field-wise: two configs are equal when every parameter is, so chips
+  /// built from them solve every shape identically.
+  bool operator==(const ArchConfig&) const = default;
 };
 
 /// The default simulated device.

@@ -11,7 +11,8 @@
 //    `run_full_chip` helpers that evaluate a hypothetical configuration
 //    without touching the persistent MIG state — this is what profiling,
 //    model training, the benches, and replay's cluster nodes use
-//    (`sched::Node`, whose pair solves `sched::RunMemo` memoizes).
+//    (`sched::Node`, whose solves `sched::RunMemo` memoizes per session in
+//    front of the registry-owned `gpusim::SolveStore`).
 //
 // Relative performance follows the paper's normalization: solo run on the
 // full chip (no MIG, no cap beyond TDP).

@@ -104,6 +104,29 @@ void Cluster::set_node_next(int n, double next) {
   std::push_heap(completion_heap_.begin(), completion_heap_.end(), kHeapOrder);
 }
 
+bool Cluster::share_solves(gpusim::SolveStore& store) noexcept {
+  // Nodes are homogeneous (all built from one ArchConfig), so node 0's
+  // architecture is every node's.
+  if (!(nodes_.front()->chip().arch() == store.arch())) return false;
+  run_memo_.attach(&store);
+  return true;
+}
+
+double Cluster::baseline_seconds(const gpusim::KernelDescriptor& kernel) const {
+  const gpusim::GpuChip& chip = nodes_.front()->chip();
+  gpusim::SolveStore* const store = run_memo_.store();
+  if (store == nullptr) return chip.baseline_seconds(kernel);
+  // The key of an exclusive dispatch at TDP (Node::recompute_rates), and
+  // the solve GpuChip::baseline_seconds runs.
+  const double tdp = chip.arch().tdp_watts;
+  return store
+      ->get_or_solve(RunMemo::Key{&kernel, nullptr, chip.arch().total_gpcs, 0,
+                                  -1, tdp},
+                     [&] { return chip.run_full_chip(kernel, tdp); })
+      .apps.front()
+      .seconds_per_wu;
+}
+
 void Cluster::begin_session(const CoScheduler& scheduler) {
   // clear() keeps the queue's capacity, so a replayed session re-enqueues
   // without touching the heap.
@@ -118,6 +141,7 @@ void Cluster::begin_session(const CoScheduler& scheduler) {
   running_jobs_ = 0;
   completion_heap_.clear();
   run_memo_.clear();
+  run_memo_.attach(nullptr);
   profiling_job_.assign(nodes_.size(), -1);
   node_next_.assign(nodes_.size(), kInf);
   node_busy_.assign(nodes_.size(), 0);

@@ -123,8 +123,21 @@ class Cluster {
 
   /// Start a fresh accounting session: clears the queue, per-job statistics,
   /// and dispatch counters, and snapshots the scheduler's decision-table
-  /// counters plus node energy so report() returns session deltas.
+  /// counters plus node energy so report() returns session deltas. Detaches
+  /// any shared solve store (see share_solves).
   void begin_session(const CoScheduler& scheduler);
+
+  /// Serve this session's RunMemo misses from `store` — the solve store of
+  /// the registry whose kernels the session will dispatch — until the next
+  /// begin_session. Attaches only when the nodes' architecture equals the
+  /// store's (stored solves are then bit-identical to the nodes' own);
+  /// returns whether it attached. `store` must outlive the session.
+  bool share_solves(gpusim::SolveStore& store) noexcept;
+
+  /// Seconds per work unit of `kernel` running exclusively on a full node
+  /// chip at TDP (GpuChip::baseline_seconds, to the bit): served from the
+  /// attached solve store when there is one, else from node 0's chip.
+  double baseline_seconds(const gpusim::KernelDescriptor& kernel) const;
 
   /// Enqueue a job that has arrived: its submit_time must not be later than
   /// the `now` of the next dispatch call (see JobQueue).
@@ -325,10 +338,11 @@ class Cluster {
   /// no-completion step allocates nothing (capacity persists across steps).
   std::vector<Job> finished_scratch_;
   std::vector<Job> drain_scratch_;
-  /// Shared physics memo for the homogeneous fleet (sched/run_memo.hpp):
-  /// each (kernels, split, option, cap) steady-state solve runs once per
-  /// session and replays bit-identically from then on. Cleared by
-  /// begin_session (kernel pointers must not outlive their session).
+  /// Shared physics memo for the homogeneous nodes (sched/run_memo.hpp):
+  /// each (kernels, split, option, cap) steady-state shape is looked up once
+  /// per session and replays bit-identically from then on. Cleared, and its
+  /// solve store detached, by begin_session (kernel pointers must not
+  /// outlive their session).
   RunMemo run_memo_;
 };
 

@@ -12,49 +12,49 @@
 // result, so replay pays one hash probe where it paid a physics solve; the
 // values served are bit-identical to fresh solves by construction.
 //
-// Keys hold kernel *pointers*: the cluster's jobs reference registry-owned
-// KernelDescriptors that must outlive the session anyway (nodes dereference
-// them while executing), so pointer identity is the job-identity the
-// scheduler already relies on. The owner (Cluster) clears the memo at
-// begin_session so entries never outlive the kernel storage of a previous
-// session. Only 1- and 2-member shapes are memoized — larger N-way groups
-// fall through to a fresh solve (no cluster path dispatches them today).
+// The memo is the per-session front of a gpusim::SolveStore. The owner
+// (Cluster) clears it at begin_session, so its hit/miss counters describe
+// one session's dispatch shapes exactly as they did before the store
+// existed. A front miss asks the attached store, which solves only shapes
+// no earlier session or fleet shard on the same registry has paid for;
+// without a store every miss solves. Keys hold kernel pointers (see
+// gpusim/solve_store.hpp), so the owner attaches only a store owned by the
+// registry whose kernels the session dispatches, and detaches it at
+// begin_session. Only 1- and 2-member shapes are memoized — larger N-way
+// groups fall through to a fresh solve (no cluster path dispatches them
+// today).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
+#include <utility>
 
 #include "common/flat_map.hpp"
-#include "common/hash_mix.hpp"
 #include "gpusim/gpu.hpp"
+#include "gpusim/solve_store.hpp"
 
 namespace migopt::sched {
 
 class RunMemo {
  public:
-  /// Monotonic probe counters (a hit serves a stored solve, a miss pays a
-  /// fresh one). Never reset — owners snapshot them at session start and
-  /// report deltas, exactly like CoScheduler::DecisionStats.
+  /// Monotonic probe counters (a hit serves this session's stored solve, a
+  /// miss goes to the store or pays a fresh one). Never reset — owners
+  /// snapshot them at session start and report deltas, exactly like
+  /// CoScheduler::DecisionStats.
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
   };
 
-  struct Key {
-    const gpusim::KernelDescriptor* kernel1 = nullptr;
-    const gpusim::KernelDescriptor* kernel2 = nullptr;  ///< null for solo
-    int gpcs1 = 0;
-    int gpcs2 = 0;
-    int option = -1;  ///< gpusim::MemOption, -1 = exclusive full chip
-    double cap_watts = 0.0;
+  using Key = gpusim::SolveKey;
+  using KeyHash = gpusim::SolveKeyHash;
 
-    bool operator==(const Key&) const = default;
-  };
-
-  /// Return the memoized RunResult for `key`, or run `solve`, store, and
-  /// return it. The reference stays valid until the next get_or_solve or
-  /// clear() (the flat-map's dense storage may move on insert); the sole
-  /// caller (Node) applies the result immediately.
+  /// Return the memoized RunResult for `key`, or fetch it from the attached
+  /// store (which runs `solve` only for a shape it has never seen), or run
+  /// `solve` when no store is attached; keep it and return it. The
+  /// reference stays valid until the next get_or_solve or clear() (the
+  /// flat-map's dense storage may move on insert); the sole caller (Node)
+  /// applies the result immediately.
   template <typename Solve>
   const gpusim::RunResult& get_or_solve(const Key& key, Solve&& solve) {
     const auto id = entries_.find_id(key);
@@ -66,9 +66,18 @@ class RunMemo {
     // Epoch reset instead of LRU: the key space of a real replay is tiny
     // (apps x caps x shapes), so the bound only guards pathological drivers.
     if (entries_.size() >= kMaxEntries) entries_.clear();
-    // solve() runs before the emplace: a throwing solve stores nothing.
-    return entries_.value_at(entries_.try_emplace(key, solve()).first);
+    // The value is fetched before the emplace: a throwing solve stores
+    // nothing.
+    gpusim::RunResult run =
+        store_ != nullptr ? store_->get_or_solve(key, solve) : solve();
+    return entries_.value_at(entries_.try_emplace(key, std::move(run)).first);
   }
+
+  /// Serve misses from `store` (null detaches). The caller guarantees the
+  /// store's arch matches the solving chip and its kernels outlive the
+  /// attachment.
+  void attach(gpusim::SolveStore* store) noexcept { store_ = store; }
+  gpusim::SolveStore* store() const noexcept { return store_; }
 
   /// Drops the entries, not the counters (they count across sessions).
   void clear() noexcept { entries_.clear(); }
@@ -78,24 +87,9 @@ class RunMemo {
  private:
   static constexpr std::size_t kMaxEntries = 1 << 16;
 
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept {
-      std::uint64_t h = hash_mix(0x6e6f6465ULL,
-                                 reinterpret_cast<std::uintptr_t>(key.kernel1));
-      h = hash_mix(h, reinterpret_cast<std::uintptr_t>(key.kernel2));
-      h = hash_mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                           key.gpcs1))
-                       << 32) |
-                          static_cast<std::uint32_t>(key.gpcs2));
-      h = hash_mix(h, static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(key.option)));
-      h = hash_mix(h, hash_bits(key.cap_watts));
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   FlatMap<Key, gpusim::RunResult, KeyHash, std::equal_to<>> entries_;
   Stats stats_;
+  gpusim::SolveStore* store_ = nullptr;
 };
 
 }  // namespace migopt::sched

@@ -571,11 +571,14 @@ FleetReport FleetEngine::replay(const Trace& fleet_trace) const {
   // The offline phase is deterministic, so the model trains once and each
   // shard copies the artifacts instead of repeating the training sweep —
   // bit-identical to per-shard training, minus cluster_count-1 sweeps. The
-  // copies matter: profile runs mutate the allocator and RunMemo and the
-  // scheduler's decision table are session state, so sharing a mutable allocator across
-  // shards would couple their schedules (and race under threads). Each
-  // shard still builds its own scheduler and cluster; results land in
-  // pre-sized slots and merge below in index order: any fan-out width is
+  // copies matter: profile runs mutate the allocator, and the RunMemo and
+  // the scheduler's decision table are session state, so sharing a mutable
+  // allocator across shards would couple their schedules (and race under
+  // threads). Each shard still builds its own scheduler and cluster. What
+  // the shards do share is the registry, and with it the registry's solve
+  // store: a shape one shard solved is served to the others, bit-identical
+  // to a fresh solve, so sharing it cannot couple schedules. Results land
+  // in pre-sized slots and merge below in index order: any fan-out width is
   // bit-identical to serial.
   gpusim::GpuChip chip;
   const wl::WorkloadRegistry registry(chip.arch());

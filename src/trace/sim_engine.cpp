@@ -304,8 +304,10 @@ SimReport replay_impl(const SimConfig& config, Source& source,
   const sched::CoScheduler::DecisionStats decisions_at_start =
       scheduler.decision_stats();
   cluster.begin_session(scheduler);
+  // Sessions (and fleet shards) replaying this registry's kernels share its
+  // solves; a cluster built for another architecture solves on its own.
+  cluster.share_solves(registry.solves());
   const auto memo_at_start = cluster.run_memo_stats();
-  const gpusim::GpuChip& chip = cluster.nodes().front()->chip();
 
   // Null plan = the fault-free hot path: every fault branch below is one
   // predicted-not-taken pointer compare, and reports are byte-identical to
@@ -570,7 +572,7 @@ SimReport replay_impl(const SimConfig& config, Source& source,
         AppInfo& info = app_info[job.app_id];
         if (info.kernel == nullptr) {
           info.kernel = &registry.by_name(arrival.app).kernel;
-          info.solo_seconds_per_wu = chip.baseline_seconds(*info.kernel);
+          info.solo_seconds_per_wu = cluster.baseline_seconds(*info.kernel);
         }
         job.kernel = info.kernel;
         job.solo_seconds_per_wu = info.solo_seconds_per_wu;

@@ -17,7 +17,8 @@ const char* to_string(WorkloadClass cls) noexcept {
   return "??";
 }
 
-WorkloadRegistry::WorkloadRegistry(const gpusim::ArchConfig& arch) {
+WorkloadRegistry::WorkloadRegistry(const gpusim::ArchConfig& arch)
+    : solves_(arch) {
   auto append = [this](std::vector<WorkloadSpec>&& suite) {
     for (auto& spec : suite) specs_.push_back(std::move(spec));
   };

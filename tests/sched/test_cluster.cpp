@@ -21,7 +21,9 @@ core::ResourcePowerAllocator make_allocator() {
       test::shared_chip(), test::shared_registry(), test::shared_pairs());
 }
 
-std::vector<Job> mixed_job_set(CoScheduler& scheduler) {
+std::vector<Job> mixed_job_set(
+    CoScheduler& scheduler,
+    const wl::WorkloadRegistry& registry = test::shared_registry()) {
   // One job from each class family, sized so every job runs ~12 s solo on
   // the full chip. Comparable durations are the pairing-friendly case: the
   // co-location overlap covers the whole runtime instead of stranding a long
@@ -34,7 +36,7 @@ std::vector<Job> mixed_job_set(CoScheduler& scheduler) {
     Job job;
     job.id = id++;
     job.app_id = scheduler.intern_app(app);
-    job.kernel = &test::shared_registry().by_name(app).kernel;
+    job.kernel = &registry.by_name(app).kernel;
     job.solo_seconds_per_wu = test::shared_chip().baseline_seconds(*job.kernel);
     job.work_units = std::max(1.0, std::round(12.0 / job.solo_seconds_per_wu));
     job.submit_time = 0.0;
@@ -570,6 +572,89 @@ TEST(Cluster, RunMemoCountersAreSessionDeltas) {
   const ClusterReport second = cluster.run(std::move(shifted), second_scheduler);
   EXPECT_EQ(second.run_memo_misses, first.run_memo_misses);
   EXPECT_EQ(second.run_memo_hits, first.run_memo_hits);
+}
+
+// A registry built for another architecture holds kernels and solves that
+// differ from what the cluster's nodes compute, so its store must not be
+// attached: the session solves on its own and the store stays empty. The
+// same session against a registry of the nodes' architecture fills it.
+TEST(Cluster, SolveStoreIsNotSharedAcrossArchitectures) {
+  auto allocator = make_allocator();
+  gpusim::ArchConfig other_arch = gpusim::a100_sxm_like();
+  other_arch.tdp_watts = 300.0;
+  const wl::WorkloadRegistry other(other_arch);
+  const wl::WorkloadRegistry same(gpusim::a100_sxm_like());
+  for (const wl::WorkloadRegistry* registry : {&other, &same}) {
+    const bool matching = registry == &same;
+    CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+    ClusterConfig config;
+    config.node_count = 2;
+    Cluster cluster(config);
+    cluster.begin_session(scheduler);
+    EXPECT_EQ(cluster.share_solves(registry->solves()), matching);
+    for (Job& job : mixed_job_set(scheduler, *registry))
+      cluster.submit(std::move(job));
+    double now = 0.0;
+    while (true) {
+      cluster.dispatch(scheduler, now);
+      if (cluster.queued_count() + cluster.running_count() == 0) break;
+      now = cluster.next_completion_time();
+      cluster.advance_to(now, scheduler);
+    }
+    EXPECT_EQ(cluster.report(scheduler).jobs_completed, 8u);
+    if (matching) {
+      EXPECT_GT(registry->solves().size(), 0u);
+    } else {
+      EXPECT_EQ(registry->solves().size(), 0u);
+      EXPECT_EQ(registry->solves().solves(), 0u);
+    }
+  }
+}
+
+// begin_session detaches the store, so Cluster::run (which starts its own
+// session) and any later session solve privately: the store attached
+// before the session is never read or filled.
+TEST(Cluster, BeginSessionDetachesTheSolveStore) {
+  auto allocator = make_allocator();
+  const wl::WorkloadRegistry registry(gpusim::a100_sxm_like());
+  ClusterConfig config;
+  config.node_count = 2;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.share_solves(registry.solves()));
+  CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  const ClusterReport report =
+      cluster.run(mixed_job_set(scheduler, registry), scheduler);
+  EXPECT_EQ(report.jobs_completed, 8u);
+  EXPECT_GT(report.run_memo_misses, 0u);
+  EXPECT_EQ(registry.solves().size(), 0u);
+  EXPECT_EQ(registry.solves().solves(), 0u);
+}
+
+// The replay's per-app normalization (solo seconds per work unit) comes
+// from the store's exclusive-at-TDP entry when one is attached. It is the
+// solve GpuChip::baseline_seconds runs, so every registry app's baseline is
+// the same to the bit either way, and each app is solved once.
+TEST(Cluster, StoreServedBaselineMatchesGpuChipBaseline) {
+  const wl::WorkloadRegistry registry(gpusim::a100_sxm_like());
+  const gpusim::GpuChip chip;
+  auto allocator = make_allocator();
+  CoScheduler scheduler(allocator, core::Policy::problem1(250.0, 0.2));
+  ClusterConfig config;
+  config.node_count = 1;
+  Cluster cluster(config);
+  cluster.begin_session(scheduler);
+  for (const wl::WorkloadSpec& spec : registry.all())
+    EXPECT_EQ(cluster.baseline_seconds(spec.kernel),
+              chip.baseline_seconds(spec.kernel))
+        << spec.kernel.name << " (no store)";
+  ASSERT_TRUE(cluster.share_solves(registry.solves()));
+  for (int pass = 0; pass < 2; ++pass)
+    for (const wl::WorkloadSpec& spec : registry.all())
+      EXPECT_EQ(cluster.baseline_seconds(spec.kernel),
+                chip.baseline_seconds(spec.kernel))
+          << spec.kernel.name << " (store, pass " << pass << ")";
+  EXPECT_EQ(registry.solves().solves(), registry.size());
+  EXPECT_EQ(registry.solves().size(), registry.size());
 }
 
 TEST(Cluster, FailNodeKillsResidentsAndRecoverAccruesDowntime) {

@@ -11,6 +11,7 @@
 
 #include "common/assert.hpp"
 #include "fault/fault.hpp"
+#include "report_equality.hpp"
 #include "test_util.hpp"
 #include "trace/fleet.hpp"
 #include "trace/generator.hpp"
@@ -46,31 +47,6 @@ double trace_horizon(const Trace& trace) {
   return trace.events.empty() ? 0.0 : trace.events.back().time_seconds;
 }
 
-/// Every fault-free report field the fault plumbing could have disturbed,
-/// compared exactly (==, not near): the byte-identity contract.
-void expect_identical_reports(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
-  EXPECT_EQ(a.cluster.jobs_completed, b.cluster.jobs_completed);
-  EXPECT_EQ(a.cluster.makespan_seconds, b.cluster.makespan_seconds);
-  EXPECT_EQ(a.cluster.total_energy_joules, b.cluster.total_energy_joules);
-  EXPECT_EQ(a.cluster.pair_dispatches, b.cluster.pair_dispatches);
-  EXPECT_EQ(a.cluster.exclusive_dispatches, b.cluster.exclusive_dispatches);
-  EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
-  EXPECT_EQ(a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
-  EXPECT_EQ(a.max_queue_wait_seconds, b.max_queue_wait_seconds);
-  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  EXPECT_EQ(a.faults.failures_injected, b.faults.failures_injected);
-  EXPECT_EQ(a.faults.node_failures, b.faults.node_failures);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
-    EXPECT_EQ(a.tenants[i].mean_queue_wait_seconds,
-              b.tenants[i].mean_queue_wait_seconds);
-    EXPECT_EQ(a.tenants[i].mean_slowdown, b.tenants[i].mean_slowdown);
-  }
-}
-
 TEST(FaultReplay, EmptyPlanIsByteIdenticalToNoPlan) {
   // The byte-identity gate of the whole PR: an empty plan (and a config
   // whose channels are all off) must replay exactly like a null plan — the
@@ -82,7 +58,7 @@ TEST(FaultReplay, EmptyPlanIsByteIdenticalToNoPlan) {
   SimConfig with_empty;
   with_empty.faults = &empty;
   const SimReport gated = replay(trace, 4, with_empty);
-  expect_identical_reports(bare, gated);
+  test::expect_sim_reports_bit_identical(bare, gated);
   EXPECT_EQ(gated.faults.failures_injected, 0u);
   EXPECT_EQ(gated.faults.retries, 0u);
 
@@ -90,7 +66,7 @@ TEST(FaultReplay, EmptyPlanIsByteIdenticalToNoPlan) {
       fault::make_fault_plan(fault::FaultConfig{}, 4, trace_horizon(trace), 17);
   SimConfig with_expanded;
   with_expanded.faults = &expanded;
-  expect_identical_reports(bare, replay(trace, 4, with_expanded));
+  test::expect_sim_reports_bit_identical(bare, replay(trace, 4, with_expanded));
 }
 
 TEST(FaultReplay, TransientFailuresRetryBackoffAndConserve) {
@@ -202,7 +178,7 @@ TEST(FaultReplay, FaultedReplayIsDeterministic) {
   sim.faults = &plan;
   const SimReport a = replay(trace, 4, sim);
   const SimReport b = replay(trace, 4, sim);
-  expect_identical_reports(a, b);
+  test::expect_sim_reports_bit_identical(a, b);
   EXPECT_EQ(a.faults.retries, b.faults.retries);
   EXPECT_EQ(a.faults.jobs_killed, b.faults.jobs_killed);
   EXPECT_EQ(a.faults.jobs_shed, b.faults.jobs_shed);

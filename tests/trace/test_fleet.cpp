@@ -10,6 +10,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "report_equality.hpp"
 #include "test_util.hpp"
 #include "trace/generator.hpp"
 
@@ -540,35 +541,6 @@ TEST(FleetEngine, RunMemoCountersSurfaceInTheMergedReport) {
 // per-shard traces route() builds from the same routing walk.
 // ---------------------------------------------------------------------------
 
-void expect_sim_reports_bit_identical(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
-  EXPECT_EQ(a.budget_events_applied, b.budget_events_applied);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  EXPECT_EQ(a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
-  EXPECT_EQ(a.max_queue_wait_seconds, b.max_queue_wait_seconds);
-  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
-  EXPECT_EQ(a.jobs_per_hour, b.jobs_per_hour);
-  EXPECT_EQ(a.cluster.jobs_completed, b.cluster.jobs_completed);
-  EXPECT_EQ(a.cluster.makespan_seconds, b.cluster.makespan_seconds);
-  EXPECT_EQ(a.cluster.total_energy_joules, b.cluster.total_energy_joules);
-  EXPECT_EQ(a.cluster.pair_dispatches, b.cluster.pair_dispatches);
-  EXPECT_EQ(a.cluster.exclusive_dispatches, b.cluster.exclusive_dispatches);
-  EXPECT_EQ(a.cluster.profile_runs, b.cluster.profile_runs);
-  EXPECT_EQ(a.cluster.decision_cache_hits, b.cluster.decision_cache_hits);
-  EXPECT_EQ(a.cluster.decision_cache_misses, b.cluster.decision_cache_misses);
-  EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
-    EXPECT_EQ(a.tenants[i].jobs_submitted, b.tenants[i].jobs_submitted);
-    EXPECT_EQ(a.tenants[i].jobs_completed, b.tenants[i].jobs_completed);
-    EXPECT_EQ(a.tenants[i].mean_queue_wait_seconds,
-              b.tenants[i].mean_queue_wait_seconds);
-    EXPECT_EQ(a.tenants[i].mean_slowdown, b.tenants[i].mean_slowdown);
-  }
-}
-
 TEST(FleetEngine, ZeroCopyPlanReplaysIdenticalToMaterializedShards) {
   const Trace trace = fleet_trace(300, 17);
   // Two routing shapes: plain affinity, and spillover + a demand-split fleet
@@ -605,7 +577,7 @@ TEST(FleetEngine, ZeroCopyPlanReplaysIdenticalToMaterializedShards) {
     for (std::size_t c = 0; c < sharded.shards.size(); ++c) {
       const SimReport zero_copy = replay(plan.shard(c));
       const SimReport materialized = replay(sharded.shards[c]);
-      expect_sim_reports_bit_identical(zero_copy, materialized);
+      test::expect_sim_reports_bit_identical(zero_copy, materialized);
       replayed_jobs += zero_copy.jobs_submitted;
     }
     EXPECT_EQ(replayed_jobs, trace.job_count());

@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/span_tracer.hpp"
+#include "report_equality.hpp"
 #include "test_util.hpp"
 #include "trace/fleet.hpp"
 #include "trace/generator.hpp"
@@ -153,36 +154,6 @@ TEST(ObsReplay, SamplerMatchesLegacySeriesBitExactly) {
   }
 }
 
-void expect_reports_bit_identical(const SimReport& a, const SimReport& b) {
-  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
-  EXPECT_EQ(a.budget_events_applied, b.budget_events_applied);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
-  EXPECT_EQ(a.mean_queue_wait_seconds, b.mean_queue_wait_seconds);
-  EXPECT_EQ(a.max_queue_wait_seconds, b.max_queue_wait_seconds);
-  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
-  EXPECT_EQ(a.jobs_per_hour, b.jobs_per_hour);
-  EXPECT_EQ(a.cluster.makespan_seconds, b.cluster.makespan_seconds);
-  EXPECT_EQ(a.cluster.total_energy_joules, b.cluster.total_energy_joules);
-  EXPECT_EQ(a.cluster.jobs_completed, b.cluster.jobs_completed);
-  EXPECT_EQ(a.cluster.pair_dispatches, b.cluster.pair_dispatches);
-  EXPECT_EQ(a.cluster.exclusive_dispatches, b.cluster.exclusive_dispatches);
-  EXPECT_EQ(a.cluster.profile_runs, b.cluster.profile_runs);
-  EXPECT_EQ(a.cluster.decision_cache_hits, b.cluster.decision_cache_hits);
-  EXPECT_EQ(a.cluster.decision_cache_misses, b.cluster.decision_cache_misses);
-  EXPECT_EQ(a.cluster.mean_turnaround, b.cluster.mean_turnaround);
-  EXPECT_EQ(a.cluster.peak_cap_sum_watts, b.cluster.peak_cap_sum_watts);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
-    EXPECT_EQ(a.tenants[i].jobs_submitted, b.tenants[i].jobs_submitted);
-    EXPECT_EQ(a.tenants[i].jobs_completed, b.tenants[i].jobs_completed);
-    EXPECT_EQ(a.tenants[i].mean_queue_wait_seconds,
-              b.tenants[i].mean_queue_wait_seconds);
-    EXPECT_EQ(a.tenants[i].mean_slowdown, b.tenants[i].mean_slowdown);
-  }
-}
-
 TEST(ObsReplay, FullObservabilityDoesNotPerturbTheReport) {
   SimConfig plain;
   plain.max_sim_seconds = 1.0e8;
@@ -196,7 +167,7 @@ TEST(ObsReplay, FullObservabilityDoesNotPerturbTheReport) {
   instrumented.tracer = &tracer;
   const SimReport on = run_regime(ReplayRegime::Poisson, instrumented);
 
-  expect_reports_bit_identical(off, on);
+  test::expect_sim_reports_bit_identical(off, on);
   EXPECT_GT(registry.size(), 0u);
   EXPECT_GT(tracer.event_count(), 0u);
 }

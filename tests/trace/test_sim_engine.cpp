@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/assert.hpp"
+#include "fault/fault.hpp"
+#include "report_equality.hpp"
 #include "test_util.hpp"
 #include "trace/generator.hpp"
+#include "trace/presets.hpp"
 
 namespace migopt::trace {
 namespace {
@@ -260,6 +265,75 @@ TEST(SimEngine, GuardsRejectBadConfig) {
   SimConfig bad;
   bad.max_sim_seconds = 0.0;
   EXPECT_THROW(SimEngine{bad}, ContractViolation);
+}
+
+// Sessions replaying one registry share its solve store: the second replay
+// of a trace pays no solve at all, yet every report field, and the
+// per-session RunMemo counters, equal both the first replay's and a replay
+// against a fresh registry (an empty store) to the bit.
+TEST(SimEngine, SharedSolveStoreReplaysBitIdentically) {
+  constexpr std::size_t kJobs = 2000;
+  constexpr int kNodes = 8;
+  const auto trained = make_allocator();
+  const wl::WorkloadRegistry registry(test::shared_chip().arch());
+  const auto replay_on = [&](const wl::WorkloadRegistry& on,
+                             const Trace& trace, ReplayRegime regime,
+                             const fault::FaultPlan* faults) {
+    core::ResourcePowerAllocator::Config session_config;
+    core::ResourcePowerAllocator allocator(trained.model(), trained.profiles(),
+                                           std::move(session_config));
+    sched::CoScheduler scheduler(allocator, regime_policy(regime));
+    sched::ClusterConfig config;
+    config.node_count = kNodes;
+    config.max_sim_seconds = 1.0e8;
+    sched::Cluster cluster(config);
+    SimConfig sim;
+    sim.max_sim_seconds = 1.0e8;
+    sim.faults = faults;
+    return SimEngine(sim).replay(trace, on, cluster, scheduler);
+  };
+
+  const Trace poisson = make_regime_trace(ReplayRegime::Poisson, kJobs, kNodes,
+                                          7, registry.names());
+  fault::FaultConfig fault_config;
+  fault_config.transient_failure_rate = 0.05;
+  fault_config.node_mtbf_seconds = 20000.0;
+  const fault::FaultPlan plan = fault::make_fault_plan(
+      fault_config, kNodes, poisson.horizon_seconds(), 7);
+  struct Case {
+    ReplayRegime regime;
+    const fault::FaultPlan* faults;
+  };
+  for (const Case& c : {Case{ReplayRegime::Poisson, nullptr},
+                        Case{ReplayRegime::Bursty, nullptr},
+                        Case{ReplayRegime::BudgetWalk, nullptr},
+                        Case{ReplayRegime::Poisson, &plan}}) {
+    SCOPED_TRACE(std::string(regime_name(c.regime)) +
+                 (c.faults != nullptr ? " with faults" : ""));
+    const Trace trace = make_regime_trace(c.regime, kJobs, kNodes, 7,
+                                          registry.names());
+    const SimReport first = replay_on(registry, trace, c.regime, c.faults);
+    const std::size_t paid = registry.solves().solves();
+    EXPECT_GT(paid, 0u);
+    const SimReport second = replay_on(registry, trace, c.regime, c.faults);
+    EXPECT_EQ(registry.solves().solves(), paid);
+
+    const wl::WorkloadRegistry fresh_registry(test::shared_chip().arch());
+    const SimReport fresh =
+        replay_on(fresh_registry, trace, c.regime, c.faults);
+    EXPECT_GT(fresh_registry.solves().solves(), 0u);
+
+    for (const SimReport* other : {&second, &fresh}) {
+      test::expect_sim_reports_bit_identical(first, *other);
+      EXPECT_EQ(first.cluster.run_memo_hits, other->cluster.run_memo_hits);
+      EXPECT_EQ(first.cluster.run_memo_misses, other->cluster.run_memo_misses);
+    }
+    EXPECT_GT(first.cluster.run_memo_misses, 0u);
+    if (c.faults != nullptr) {
+      EXPECT_GT(first.faults.failures_injected + first.faults.node_failures,
+                0u);
+    }
+  }
 }
 
 }  // namespace
